@@ -233,11 +233,8 @@ def _cmd_ablate(args):
     trials = corpus.load_trials(args.trials, embeddings)
     settings = (args.mode,) if args.mode else _ABLATE_SETTINGS
     rows = []
-    for setting in settings:
-        scorer = model if setting == "full" else hybrid.restrict(
-            model, hybrid.RestrictMode(setting)
-        )
-        labeled = hybrid.score_trials(scorer, embeddings, trials)
+    scored = hybrid.score_ablation(model, embeddings, trials, settings)
+    for setting, labeled in zip(settings, scored):
         report = metrics.evaluate(labeled, (0.01, 0.001), args.c_miss, args.c_fa)
         dcf1 = report.min_dcf[(0.01, args.c_miss, args.c_fa)][1]
         dcf2 = report.min_dcf[(0.001, args.c_miss, args.c_fa)][1]

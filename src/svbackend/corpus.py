@@ -13,6 +13,7 @@ Floats are written with 17 significant digits, which round-trips IEEE
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,20 @@ from .errors import (
 def fmt_float(x: float) -> str:
     """Render one float as decimal text that parses back bit-exactly."""
     return format(float(x), ".17g")
+
+
+def float_rows(path, token_rows, what: str) -> list[np.ndarray]:
+    """One float array per row of tokens, for the model file readers.
+
+    Raises ParseError naming the file unless every token is a finite number.
+    """
+    try:
+        rows = [np.array([float(t) for t in tokens]) for tokens in token_rows]
+    except ValueError:
+        raise ParseError(f"{path}: non-numeric {what}") from None
+    if not all(np.isfinite(row).all() for row in rows):
+        raise ParseError(f"{path}: non-finite {what}")
+    return rows
 
 
 class TrialLabel(enum.Enum):
@@ -73,9 +88,12 @@ class EmbeddingSet:
                 raise DuplicateIdError(f"duplicate utterance id {utt!r}")
             seen.add(utt)
         vectors.setflags(write=False)
+        codes = np.unique(np.asarray(speakers), return_inverse=True)[1]
+        codes.setflags(write=False)
         self.ids = ids
         self.speakers = speakers
         self.vectors = vectors
+        self._codes = codes
         self._row = {utt: k for k, utt in enumerate(ids)}
 
     def __len__(self) -> int:
@@ -96,7 +114,7 @@ class EmbeddingSet:
 
     def speaker_codes(self) -> np.ndarray:
         """Integer speaker code per utterance (codes follow sorted labels)."""
-        return np.unique(np.asarray(self.speakers), return_inverse=True)[1]
+        return self._codes
 
     def subset(self, indices) -> "EmbeddingSet":
         indices = np.asarray(indices, dtype=int)
@@ -179,7 +197,49 @@ class ScoreSet:
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """Parse an embedding file; dimension is inferred from the first record."""
+    """Parse an embedding file; dimension is inferred from the first record.
+
+    The ids are split off each line here and the numeric tails go to
+    NumPy's C parser. A file that parser rejects, or one with a short line
+    or a repeated id, is read again by `_load_embeddings_by_token`, which
+    raises the error. The C parser accepts a subset of what `float()`
+    accepts and rounds the same way, so both readers give the same bits
+    on every file they both accept.
+    """
+    ids, speakers, seen = [], [], set()
+    irregular = False
+
+    def tails(fh):
+        nonlocal irregular
+        for line in fh:
+            fields = line.split(maxsplit=2)
+            if not fields:
+                continue
+            if len(fields) < 3 or fields[0] in seen:
+                irregular = True
+                return
+            seen.add(fields[0])
+            ids.append(fields[0])
+            speakers.append(fields[1])
+            yield fields[2]
+
+    with open(path, "r", encoding="utf-8") as fh:
+        records = tails(fh)
+        first = next(records, None)  # loadtxt warns on an empty input
+        try:
+            vectors = None if first is None else np.loadtxt(
+                itertools.chain([first], records), dtype=np.float64,
+                comments=None, ndmin=2,  # the default comments="#" drops data
+            )
+        except ValueError:
+            vectors = None
+    if vectors is None or irregular or vectors.shape[0] != len(ids):
+        return _load_embeddings_by_token(path)
+    return EmbeddingSet(ids, speakers, vectors)
+
+
+def _load_embeddings_by_token(path) -> EmbeddingSet:
+    """Reference reader: one `float()` per token, errors with file:line."""
     ids, speakers, rows = [], [], []
     seen = set()
     dim = None
@@ -217,9 +277,11 @@ def load_embeddings(path) -> EmbeddingSet:
 
 
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
+    # '%.17g' % x is the same text as fmt_float(x), one format call per row
+    line = "%s %s " + " ".join(["%.17g"] * embeddings.dim) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for utt, speaker, vec in zip(embeddings.ids, embeddings.speakers, embeddings.vectors):
-            fh.write(f"{utt} {speaker} " + " ".join(fmt_float(v) for v in vec) + "\n")
+            fh.write(line % (utt, speaker, *vec.tolist()))
 
 
 def load_trials(path, embeddings: EmbeddingSet | None = None, validate: bool = True) -> TrialList:
@@ -300,25 +362,31 @@ def sample_pair_indices(speaker_codes, n_same: int, n_diff: int, rng):
     n = codes.size
     parts_i, parts_j, parts_y = [], [], []
     if n_same > 0:
-        firsts, seconds = [], []
-        for code in np.unique(codes):
-            idx = np.flatnonzero(codes == code)
-            if idx.size >= 2:
-                a, b = np.triu_indices(idx.size, k=1)
-                firsts.append(idx[a])
-                seconds.append(idx[b])
-        if not firsts:
+        # The pool of pairs lists each speaker's pairs (a, b), a < b, in
+        # row-major order, speakers in code order. In code-sorted order the
+        # row at position s opens end - 1 - s pairs, `end` being one past
+        # its speaker's run, so one search in the cumulative counts unranks
+        # a pool index without building the pool.
+        order = np.argsort(codes, kind="stable")
+        ordered = codes[order]
+        last = np.ones(n, dtype=bool)  # last position of each speaker's run
+        last[:-1] = ordered[1:] != ordered[:-1]
+        ends = np.flatnonzero(last) + 1
+        opened = np.repeat(ends, np.diff(ends, prepend=0)) - 1 - np.arange(n)
+        cum = np.cumsum(opened)
+        total = int(cum[-1]) if n else 0
+        if total == 0:
             raise DegenerateCorpusError(
                 "no speaker has two utterances; cannot form same-speaker pairs"
             )
-        pool_i = np.concatenate(firsts)
-        pool_j = np.concatenate(seconds)
-        pick = rng.integers(0, pool_i.size, size=n_same)
-        parts_i.append(pool_i[pick])
-        parts_j.append(pool_j[pick])
+        pick = rng.integers(0, total, size=n_same)
+        first = np.searchsorted(cum, pick, side="right")
+        second = first + 1 + pick - (cum[first] - opened[first])
+        parts_i.append(order[first])
+        parts_j.append(order[second])
         parts_y.append(np.ones(n_same, dtype=np.int8))
     if n_diff > 0:
-        if np.unique(codes).size < 2:
+        if n == 0 or np.all(codes == codes[0]):
             raise DegenerateCorpusError(
                 "need at least two speakers for different-speaker pairs"
             )

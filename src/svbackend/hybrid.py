@@ -68,6 +68,10 @@ class LossConfig:
         self.kind = LossKind(self.kind)
         if not 0.0 < self.p_tar < 1.0:
             raise ConfigError(f"p_tar must lie in (0, 1), got {self.p_tar}")
+        if not (math.isfinite(self.c_miss) and math.isfinite(self.c_fa)):
+            raise InvalidCostError(
+                f"costs must be finite, got c_miss={self.c_miss}, c_fa={self.c_fa}"
+            )
         if self.c_miss < 0 or self.c_fa < 0:
             raise InvalidCostError("costs must be non-negative")
         if self.c_miss + self.c_fa <= 0:
@@ -87,8 +91,8 @@ class TrainConfig:
     freeze: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 0:
@@ -294,16 +298,70 @@ def batch_scores(model: SiameseModel, batch: Batch):
     return -dist, p
 
 
+_SCORE_BLOCK = 8192  # trials per gather: memory stays O(utterances + block)
+
+
+def _project_trials(model: SiameseModel, embeddings: corpus.EmbeddingSet,
+                    trials: corpus.TrialList):
+    """Projection h~ of each utterance the trials reference, once, and the
+    (enroll, test) rows of each trial into it."""
+    enroll, test = trials.index_arrays(embeddings)
+    if embeddings.dim != model.input_dim:
+        shape = (enroll.size, embeddings.dim)
+        raise ShapeError(
+            f"pair shapes {shape} / {shape} do not match input dimension {model.input_dim}"
+        )
+    rows, inverse = np.unique(np.concatenate([enroll, test]), return_inverse=True)
+    _, ht, _ = _project(model, embeddings.vectors[rows])
+    return ht, inverse[: enroll.size], inverse[enroll.size :]
+
+
+def _gather_scores(model: SiameseModel, ht: np.ndarray, enroll: np.ndarray,
+                   test: np.ndarray) -> np.ndarray:
+    """`batch_scores` of the pairs (ht[enroll[k]], ht[test[k]]).
+
+    The branch outputs of each utterance are computed once and gathered
+    per pair. Every step works row by row, so these are the bits of the
+    pairwise path wherever BLAS gives a GEMM row the same bits at any
+    matrix height: OpenBLAS does above about 1e6 multiply-adds, and its
+    small-matrix kernels do not (scores then differ by ~1e-15 of their
+    scale). Blocks hold at least _SCORE_BLOCK trials, or all of them.
+    """
+    if model.variant is Variant.TWO_BRANCH:
+        a = ht @ model.P_A
+        g = ht @ model.P_G
+        a_sq = np.sum(a * a, axis=1)
+    scores = np.empty(enroll.size)
+    bounds = np.linspace(0, enroll.size, max(1, enroll.size // _SCORE_BLOCK) + 1).astype(int)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        e, t = enroll[lo:hi], test[lo:hi]
+        if model.variant is Variant.TWO_BRANCH:
+            scores[lo:hi] = 2.0 * np.sum(g[e] * g[t], axis=1) - a_sq[e] - a_sq[t]
+        else:
+            q = (ht[e] - ht[t]) @ model.P
+            scores[lo:hi] = -np.sum(q * q, axis=1)
+    return scores
+
+
 def score_trials(model: SiameseModel, embeddings: corpus.EmbeddingSet,
                  trials: corpus.TrialList) -> corpus.ScoreSet:
     """Score a trial list in order; output order matches input order."""
-    enroll, test = trials.index_arrays(embeddings)
-    scores, _ = batch_scores(
-        model,
-        Batch(embeddings.vectors[enroll], embeddings.vectors[test],
-              np.zeros(len(trials), dtype=np.int8)),
-    )
-    return corpus.ScoreSet(corpus.TrialList(list(trials.trials)), np.atleast_1d(scores))
+    scores = _gather_scores(model, *_project_trials(model, embeddings, trials))
+    return corpus.ScoreSet(corpus.TrialList(list(trials.trials)), scores)
+
+
+def score_ablation(model: SiameseModel, embeddings: corpus.EmbeddingSet,
+                   trials: corpus.TrialList, settings) -> list[corpus.ScoreSet]:
+    """`score_trials` of the full model ("full") or of `restrict(model,
+    setting)`, per setting. Restriction keeps W and the mean, so every
+    setting shares one projection of the utterances."""
+    ht, enroll, test = _project_trials(model, embeddings, trials)
+    out = []
+    for setting in settings:
+        scorer = model if setting == "full" else restrict(model, RestrictMode(setting))
+        scores = _gather_scores(scorer, ht, enroll, test)
+        out.append(corpus.ScoreSet(corpus.TrialList(list(trials.trials)), scores))
+    return out
 
 
 def _clamped_log(x: np.ndarray) -> np.ndarray:
@@ -603,10 +661,7 @@ def load_model(path) -> SiameseModel:
     expected = 1 + 1 + l + n_branch + 2
     if len(lines) != expected:
         raise ParseError(f"{path}: expected {expected} lines, got {len(lines)}")
-    try:
-        values = [np.array([float(t) for t in tokens]) for tokens in lines[1:]]
-    except ValueError:
-        raise ParseError(f"{path}: non-numeric entry") from None
+    values = corpus.float_rows(path, lines[1:], "entry")
     mean = values[0]
     if mean.size != l:
         raise ParseError(f"{path}: mean length {mean.size} != {l}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .corpus import fmt_float
+from .corpus import float_rows, fmt_float
 from .errors import (
     ConfigError,
     IllConditionedError,
@@ -438,10 +438,7 @@ def load_jb(path) -> JbModel:
         raise ParseError(f"{path}: non-integer dimension in header") from None
     if len(lines) != 1 + 4 * d:
         raise ParseError(f"{path}: expected {1 + 4 * d} lines, got {len(lines)}")
-    try:
-        rows = [np.array([float(t) for t in tokens]) for tokens in lines[1:]]
-    except ValueError:
-        raise ParseError(f"{path}: non-numeric matrix entry") from None
+    rows = float_rows(path, lines[1:], "matrix entry")
     if any(r.size != d for r in rows):
         raise ParseError(f"{path}: row length does not match dimension {d}")
     blocks = [np.stack(rows[k * d : (k + 1) * d]) for k in range(4)]

@@ -80,7 +80,7 @@ def compute_min_dcf(
     """
     if not 0.0 < p_tar < 1.0:
         raise ConfigError(f"p_tar must lie in (0, 1), got {p_tar}")
-    if c_miss < 0 or c_fa < 0 or c_miss + c_fa <= 0:
+    if not (0 <= c_miss < np.inf and 0 <= c_fa < np.inf and c_miss + c_fa > 0):
         raise InvalidCostError(f"invalid costs c_miss={c_miss}, c_fa={c_fa}")
     tar, non = _tar_non(scores)
     thresholds, p_miss, p_fa = _sweep(tar, non)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .corpus import EmbeddingSet, fmt_float
+from .corpus import EmbeddingSet, float_rows, fmt_float
 from .errors import (
     DegenerateScatterError,
     InsufficientClassesError,
@@ -165,11 +165,7 @@ def load_lda(path) -> LdaTransform:
     pre_normalize = len(head) == 4
     if len(lines) != 2 + d:
         raise ParseError(f"{path}: expected {2 + d} lines, got {len(lines)}")
-    try:
-        mean = np.array([float(t) for t in lines[1]])
-        cols = [np.array([float(t) for t in lines[2 + k]]) for k in range(d)]
-    except ValueError:
-        raise ParseError(f"{path}: non-numeric matrix entry") from None
+    mean, *cols = float_rows(path, lines[1:], "matrix entry")
     if mean.size != l or any(c.size != l for c in cols):
         raise ParseError(f"{path}: row length does not match dimension {l}")
     return LdaTransform(mean=mean, W=np.stack(cols, axis=1), pre_normalize=pre_normalize)

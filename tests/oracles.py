@@ -117,3 +117,52 @@ def relative_error(analytic, reference) -> float:
     reference = np.atleast_1d(np.asarray(reference, dtype=np.float64)).ravel()
     denom = max(float(np.linalg.norm(reference)), 1e-12)
     return float(np.linalg.norm(analytic - reference)) / denom
+
+
+def pool_sample_pair_indices(codes, n_same, n_diff, rng):
+    """Pair sampler that materializes every same-speaker pair.
+
+    The pool lists each speaker's unordered pairs in `np.triu_indices`
+    order, speakers in sorted code order, and draws `n_same` uniform
+    indices into it; different-speaker pairs come from rejection sampling.
+    Returns None where a pair class cannot be formed.
+    """
+    codes = np.asarray(codes)
+    firsts, seconds = [], []
+    for code in np.unique(codes):
+        idx = np.flatnonzero(codes == code)
+        if idx.size >= 2:
+            a, b = np.triu_indices(idx.size, k=1)
+            firsts.append(idx[a])
+            seconds.append(idx[b])
+    if n_same > 0 and not firsts:
+        return None
+    parts_i, parts_j = [], []
+    if n_same > 0:
+        pool_i = np.concatenate(firsts)
+        pool_j = np.concatenate(seconds)
+        pick = rng.integers(0, pool_i.size, size=n_same)
+        parts_i.append(pool_i[pick])
+        parts_j.append(pool_j[pick])
+    if n_diff > 0:
+        if np.unique(codes).size < 2:
+            return None
+        remaining = n_diff
+        while remaining > 0:
+            a = rng.integers(0, codes.size, size=remaining)
+            b = rng.integers(0, codes.size, size=remaining)
+            ok = codes[a] != codes[b]
+            parts_i.append(a[ok])
+            parts_j.append(b[ok])
+            remaining -= int(ok.sum())
+    return np.concatenate(parts_i), np.concatenate(parts_j)
+
+
+def loader_outcome(reader, path):
+    """What `reader(path)` gives: the parsed ids, speakers and vector bits,
+    or the type and message of the exception it raises."""
+    try:
+        s = reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return s.ids, s.speakers, s.vectors.shape, s.vectors.tobytes()

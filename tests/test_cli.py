@@ -181,6 +181,47 @@ class TestAblateCommand:
         assert len(lines) == 2 and lines[1].startswith("g-only,")
 
 
+class TestNonFiniteFlags:
+    def test_eval_nan_cost_exits_2(self, corpus_files, tmp_path, capsys):
+        emb, truth, trials = corpus_files
+        scores = tmp_path / "scores.txt"
+        model = hybrid.init_random(6, 3, seed=1)
+        hybrid.save_model(model, tmp_path / "net.txt")
+        assert run("score", "--model", tmp_path / "net.txt", "--embeddings", emb,
+                   "--trials", trials, "--out", scores) == 0
+        for cost in ("nan", "inf"):
+            assert run("eval", "--scores", scores, "--trials", trials, "--c-miss", cost,
+                       "--out", tmp_path / "report.txt") == 2
+            captured = capsys.readouterr()
+            assert "minDCF" not in captured.out and "invalid costs" in captured.err
+
+    def test_train_nan_learning_rate_exits_2(self, corpus_files, tmp_path, capsys):
+        emb, _, _ = corpus_files
+        hybrid.save_model(hybrid.init_random(6, 3, seed=1), tmp_path / "net.txt")
+        assert run("train", "--model", tmp_path / "net.txt", "--embeddings", emb,
+                   "--lr", "nan", "--out", tmp_path / "out.txt") == 2
+        assert "lr must be finite" in capsys.readouterr().err
+
+
+class TestScoreDimensionMismatch:
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_score_and_ablate_exit_2(self, corpus_files, tmp_path, capsys, dim):
+        emb, _, trials = corpus_files
+        net = tmp_path / "net.txt"
+        hybrid.save_model(hybrid.init_random(6, 3, seed=1), net)
+        other = tmp_path / "other.txt"  # same ids, first `dim` values only
+        other.write_text("".join(
+            " ".join(line.split()[: 2 + dim]) + "\n"
+            for line in emb.read_text().splitlines()))
+        assert run("score", "--model", net, "--embeddings", other,
+                   "--trials", trials, "--out", tmp_path / "scores.txt") == 2
+        assert "input dimension 6" in capsys.readouterr().err
+        assert not (tmp_path / "scores.txt").exists()
+        assert run("ablate", "--model", net, "--embeddings", other,
+                   "--trials", trials, "--out", tmp_path / "ablate.csv") == 2
+        assert "input dimension 6" in capsys.readouterr().err
+
+
 class TestReplay:
     def test_replay_reproduces_output(self, tmp_path):
         emb = tmp_path / "emb.txt"

@@ -12,6 +12,8 @@ from svbackend.errors import (
     ShapeError,
 )
 
+from oracles import loader_outcome, pool_sample_pair_indices
+
 
 def small_set():
     return EmbeddingSet(
@@ -49,6 +51,14 @@ class TestEmbeddingSet:
     def test_unknown_id(self):
         with pytest.raises(MissingReferenceError):
             small_set().row("nope")
+
+    def test_speaker_codes_computed_once(self):
+        s = EmbeddingSet(["a", "b", "c", "d"], ["z", "x", "z", "y"], np.zeros((4, 1)))
+        codes = s.speaker_codes()
+        assert codes is s.speaker_codes()
+        np.testing.assert_array_equal(codes, [2, 0, 2, 1])  # sorted-label order
+        with pytest.raises(ValueError):
+            codes[0] = 5
 
     def test_subset_by_speakers(self):
         sub = small_set().subset_by_speakers({"spkA"})
@@ -94,6 +104,42 @@ class TestEmbeddingIo:
         path.write_text("u1 spkA 1.0\nu1 spkB 2.0\n")
         with pytest.raises(DuplicateIdError):
             corpus.load_embeddings(path)
+
+    def test_save_formats_like_fmt_float(self, tmp_path):
+        vectors = np.array([[-0.0, 5e-324, 2.5e-310, 1 / 3], [1e300, -1e-300, 0.1, 7.0]])
+        s = EmbeddingSet(["u1", "u2"], ["a", "b"], vectors)
+        path = tmp_path / "emb.txt"
+        corpus.save_embeddings(s, path)
+        expected = "".join(
+            f"{u} {spk} " + " ".join(corpus.fmt_float(v) for v in row) + "\n"
+            for u, spk, row in zip(s.ids, s.speakers, vectors)
+        )
+        assert path.read_text() == expected
+        for x in (-0.0, 5e-324, float("nan"), float("inf"), -float("inf"), 1 / 3):
+            assert "%.17g" % x == corpus.fmt_float(x)
+
+
+class TestEmbeddingLoaderDifferential:
+    """The fast loader against the per-token reference reader; the
+    randomized version is in test_corpus_properties.py."""
+
+    @pytest.mark.parametrize("text", [
+        "u1 s 1_0 2\n",                    # float() accepts, the C parser does not
+        "u1 s 1 2\nu2 s # 3\n",            # a '#' is data, not a comment
+        "u1 s 1 #2\n",
+        "u1 s 1.5.5\n",
+        "u1 s 1\xa02\u20033\n",            # Unicode whitespace separates values
+        "u1 s\n",                          # two fields
+        "u1 s 1 2\nu2 s 3\n",              # ragged rows
+        "u1 s 1\nu1 t 2\n",                # duplicate id
+        "u1 s nan\n", "u1 s inf\n",
+        "\n\n",
+    ])
+    def test_edge_cases(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        assert loader_outcome(corpus.load_embeddings, path) == loader_outcome(
+            corpus._load_embeddings_by_token, path)
 
 
 class TestTrialIo:
@@ -196,6 +242,23 @@ class TestPairSampling:
         rng = np.random.default_rng(2)
         with pytest.raises(DegenerateCorpusError):
             corpus.sample_pair_indices(np.array([0, 1, 2]), 1, 1, rng)
+
+    @pytest.mark.parametrize("codes", [
+        [3, 1, 3, 0, 1, 3, 2, 1],                 # unsorted
+        [500, -7, 500, 10**9, -7, 500, 42],       # non-contiguous, negative
+        [5, 5, 9, 1, 1, 1, 7],                    # singletons between pairs
+        ["b", "a", "b", "c", "a", "a"],           # string labels
+        list(np.repeat([4, 0, 2], [1, 40, 3])),   # one large speaker
+    ])
+    def test_matches_pool_oracle(self, codes):
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            i, j, y = corpus.sample_pair_indices(codes, 37, 11, rng)
+            ref_i, ref_j = pool_sample_pair_indices(codes, 37, 11, ref_rng)
+            np.testing.assert_array_equal(i, ref_i)
+            np.testing.assert_array_equal(j, ref_j)
+            np.testing.assert_array_equal(y, [1] * 37 + [0] * 11)
+            assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)  # same draws
 
     def test_single_speaker_blocks_diff_pairs(self):
         rng = np.random.default_rng(3)

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from svbackend import hybrid, jb, synth, transform
+from svbackend import corpus, hybrid, jb, synth, transform
 from svbackend.errors import (
     ConfigError,
     DegenerateBatchError,
+    InvalidCostError,
     NumericError,
+    ParseError,
     ShapeError,
+    ZeroVectorError,
 )
 from svbackend.hybrid import (
     AdamState,
@@ -170,6 +174,106 @@ class TestForwardMd:
         r, _ = forward(tied, xi, xj)
         dist, _ = forward_md(md, xi, xj)
         assert np.abs(r + dist).max() < 1e-10
+
+
+def scoring_case(rng, n_utts, l, d, n_trials, variant, pre_normalize=False):
+    """Random model, embedding set and trial list, plus the trial rows."""
+    net = init_random(l, d, seed=int(rng.integers(1 << 31)), variant=variant)
+    net.mean = rng.standard_normal(l)
+    net.pre_normalize = pre_normalize
+    embeddings = corpus.EmbeddingSet(
+        [f"u{k}" for k in range(n_utts)], ["s"] * n_utts,
+        rng.standard_normal((n_utts, l)),
+    )
+    enroll = rng.integers(0, n_utts, n_trials)
+    test = rng.integers(0, n_utts, n_trials)
+    trials = corpus.TrialList(
+        [corpus.Trial(f"u{a}", f"u{b}") for a, b in zip(enroll, test)])
+    return net, embeddings, trials, enroll, test
+
+
+def pairwise_scores(net, embeddings, enroll, test):
+    """`batch_scores` on both sides of every trial gathered first."""
+    batch = Batch(embeddings.vectors[enroll], embeddings.vectors[test],
+                  np.zeros(enroll.size, dtype=np.int8))
+    return np.atleast_1d(hybrid.batch_scores(net, batch)[0])
+
+
+class TestScoreTrials:
+    """Per-utterance projection with gathered pair scores."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_same_bits_as_pairwise_path_at_scale(self, variant):
+        # every GEMM here is above OpenBLAS' small-matrix cut-off (~1e6
+        # multiply-adds), where each output row has the same bits at any height
+        rng = np.random.default_rng(40)
+        net, emb, trials, enroll, test = scoring_case(rng, 1500, 64, 32, 20000, variant)
+        got = hybrid.score_trials(net, emb, trials).scores
+        assert np.array_equal(got, pairwise_scores(net, emb, enroll, test))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_matches_pairwise_path_on_small_shapes(self, variant):
+        # small GEMMs use kernels whose row bits depend on the matrix height
+        rng = np.random.default_rng(41)
+        for case in range(30):
+            n_utts, l, d = (int(v) for v in rng.integers(1, 40, 3))
+            net, emb, trials, enroll, test = scoring_case(
+                rng, n_utts, l, d, int(rng.integers(1, 300)), variant,
+                pre_normalize=bool(case % 2))
+            got = hybrid.score_trials(net, emb, trials).scores
+            ref = pairwise_scores(net, emb, enroll, test)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_ablation_shares_one_projection(self):
+        rng = np.random.default_rng(42)
+        net, emb, trials, _, _ = scoring_case(rng, 50, 8, 5, 400, Variant.TWO_BRANCH)
+        settings = ["full"] + [m.value for m in RestrictMode]
+        for setting, got in zip(settings, hybrid.score_ablation(net, emb, trials, settings)):
+            scorer = net if setting == "full" else restrict(net, RestrictMode(setting))
+            assert np.array_equal(got.scores, hybrid.score_trials(scorer, emb, trials).scores)
+            assert got.trials.trials == trials.trials
+
+    def test_zero_vector_only_when_referenced(self):
+        rng = np.random.default_rng(43)
+        net, emb, _, _, _ = scoring_case(rng, 4, 3, 2, 1, Variant.TWO_BRANCH)
+        vectors = emb.vectors.copy()
+        vectors[3] = net.mean  # projects to zero
+        emb = corpus.EmbeddingSet(emb.ids, emb.speakers, vectors)
+        ok = corpus.TrialList([corpus.Trial("u0", "u1"), corpus.Trial("u2", "u1")])
+        assert len(hybrid.score_trials(net, emb, ok)) == 2
+        bad = corpus.TrialList([corpus.Trial("u0", "u1"), corpus.Trial("u2", "u3")])
+        with pytest.raises(ZeroVectorError):
+            hybrid.score_trials(net, emb, bad)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("dim", [1, 4, 9])
+    def test_dimension_mismatch_raises_shape_error(self, variant, dim):
+        rng = np.random.default_rng(45)
+        net, emb, trials, _, _ = scoring_case(rng, 20, 6, 3, 50, variant)
+        other = corpus.EmbeddingSet(emb.ids, emb.speakers, emb.vectors[:, :1].repeat(dim, 1))
+        with pytest.raises(ShapeError, match="input dimension 6"):
+            hybrid.score_trials(net, other, trials)
+        with pytest.raises(ShapeError, match="input dimension 6"):
+            hybrid.score_ablation(net, other, trials, ["full"])
+
+    def test_peak_memory_does_not_grow_with_dims_per_trial(self):
+        # Fixed utterances, 10k -> 100k trials: the peak may grow only by a
+        # few 8-byte words per trial (row indices, np.unique's temporaries,
+        # the score), not by anything of length l or d. Gathering both input
+        # vectors costs 2 * 8 * l bytes per trial, the branch outputs 3 * 8 * d.
+        rng = np.random.default_rng(44)
+        net, emb, trials, _, _ = scoring_case(rng, 1000, 128, 32, 100_000, Variant.TWO_BRANCH)
+        peaks = []
+        for n in (10_000, 100_000):
+            subset = corpus.TrialList(trials.trials[:n])
+            tracemalloc.start()
+            try:
+                hybrid.score_trials(net, emb, subset)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_trial = (peaks[1] - peaks[0]) / 90_000
+        assert per_trial < 24 * 8, f"{per_trial:.0f} bytes per trial"
 
 
 class TestLoss:
@@ -470,7 +574,32 @@ class TestRestrict:
             restrict(net, RestrictMode.A_ONLY)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ConfigError):
+            TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("costs", [
+        dict(c_miss=math.inf), dict(c_miss=math.nan), dict(c_fa=math.nan), dict(c_fa=-math.inf),
+    ])
+    def test_non_finite_costs_rejected(self, costs):
+        with pytest.raises(InvalidCostError):
+            LossConfig(**costs)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, token):
+        net = init_random(3, 2, seed=34)
+        path = tmp_path / "net.txt"
+        hybrid.save_model(net, path)
+        lines = path.read_text().splitlines()
+        lines[2] = " ".join([token] + lines[2].split()[1:])  # first entry of W
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="net.txt: non-finite"):
+            hybrid.load_model(path)
+
     def test_two_branch_round_trip(self, tmp_path):
         embeddings, lda, model = fitted_pipeline()
         net = init_from_generative(lda, model)

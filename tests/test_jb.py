@@ -299,6 +299,19 @@ class TestSerialization:
         np.testing.assert_array_equal(back.P_A, model.P_A)
         np.testing.assert_allclose(back.A, model.A, atol=1e-12)
 
+    @pytest.mark.parametrize("row", [1, 7])  # a C_u row; a P_A row
+    def test_non_finite_entry_rejected(self, tmp_path, row):
+        # NaN passed the factor consistency check, since nan > tol is False
+        rng = np.random.default_rng(14)
+        c_u, c_n = random_cov_pair(rng, 3)
+        path = tmp_path / "model.txt"
+        jb.save_jb(synth.ground_truth_model(c_u, c_n), path)
+        lines = path.read_text().splitlines()
+        lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="model.txt: non-finite"):
+            jb.load_jb(path)
+
     def test_inconsistent_factors_rejected(self, tmp_path):
         rng = np.random.default_rng(13)
         c_u, c_n = random_cov_pair(rng, 3)

@@ -98,6 +98,12 @@ class TestMinDcf:
             assert raw <= min(0.1 * 2.0, 0.9 * 0.5) + 1e-15
             assert normalized <= 1.0 + 1e-15
 
+    @pytest.mark.parametrize("costs", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+    def test_non_finite_costs_rejected(self, costs):
+        s = make_scores(np.array([1.0]), np.array([0.0]))
+        with pytest.raises(InvalidCostError):
+            metrics.compute_min_dcf(s, 0.5, *costs)
+
     def test_zero_costs_rejected(self):
         s = make_scores(np.array([1.0]), np.array([0.0]))
         with pytest.raises(InvalidCostError):

@@ -6,6 +6,7 @@ from svbackend.corpus import EmbeddingSet
 from svbackend.errors import (
     DegenerateScatterError,
     InsufficientClassesError,
+    ParseError,
     ShapeError,
     ZeroVectorError,
 )
@@ -193,6 +194,17 @@ class TestSerialization:
         assert back.pre_normalize
         x = rng.standard_normal(8) * 3.0
         np.testing.assert_array_equal(apply_lda(back, x), apply_lda(t, x))
+
+    def test_non_finite_entry_rejected(self, tmp_path):
+        rng = np.random.default_rng(13)
+        t = fit_lda(random_speaker_set(rng), 4)
+        path = tmp_path / "proj.txt"
+        transform.save_lda(t, path)
+        lines = path.read_text().splitlines()
+        lines[3] = " ".join(lines[3].split()[:-1] + ["nan"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="proj.txt: non-finite"):
+            transform.load_lda(path)
 
     def test_header_format(self, tmp_path):
         rng = np.random.default_rng(12)
