@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, corpus, hybrid, jb, metrics, synth, transform
-from .errors import ConfigError, SvBackendError
+from .errors import ConfigError, ParseError, SvBackendError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,9 +249,15 @@ def _cmd_ablate(args):
 
 
 def _cmd_replay(args):
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return main(manifest["argv"])
+    with corpus.open_text(args.manifest) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{args.manifest}: not a JSON manifest ({exc})") from None
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise ParseError(f"{args.manifest}: no 'argv' list of strings")
+    return main(argv)
 
 
 def _build_parser() -> _Parser:

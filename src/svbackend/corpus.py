@@ -8,12 +8,22 @@ All formats are line oriented, space separated UTF-8 text:
 
 Floats are written with 17 significant digits, which round-trips IEEE
 64-bit values exactly. Loaded sets are immutable after construction.
+
+An embedding file that is a regular file gets a binary sidecar,
+`<file>.npz`, holding its parsed contents and the sha256 of the text it
+came from. The text stays the format of record: the sidecar is used only
+while that digest matches the file, and deleting it is always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import hashlib
 import itertools
+import os
+import stat
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +31,7 @@ import numpy as np
 from .errors import (
     DegenerateCorpusError,
     DuplicateIdError,
+    InvalidIdError,
     MissingReferenceError,
     NumericError,
     ParseError,
@@ -31,6 +42,16 @@ from .errors import (
 def fmt_float(x: float) -> str:
     """Render one float as decimal text that parses back bit-exactly."""
     return format(float(x), ".17g")
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """Open a UTF-8 text input; bytes that do not decode raise a ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def float_rows(path, token_rows, what: str) -> list[np.ndarray]:
@@ -197,7 +218,26 @@ class ScoreSet:
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """Parse an embedding file; dimension is inferred from the first record.
+    """Read an embedding file; dimension is inferred from the first record.
+
+    A regular file is hashed first. If its sidecar records the same sha256,
+    the set comes from the sidecar; otherwise the text is parsed and the
+    sidecar is written, provided the file did not change during the parse.
+    Any other path (a pipe, /dev/stdin) is parsed once and never hashed.
+    """
+    if not _is_regular(path):
+        return _parse_embeddings(path)
+    digest = _sha256(path)
+    embeddings = _read_sidecar(path, digest)
+    if embeddings is None:
+        embeddings = _parse_embeddings(path)
+        if _sha256(path) == digest:
+            _write_sidecar(embeddings, path, digest)
+    return embeddings
+
+
+def _parse_embeddings(path) -> EmbeddingSet:
+    """Parse the text of an embedding file.
 
     The ids are split off each line here and the numeric tails go to
     NumPy's C parser. A file that parser rejects, or one with a short line
@@ -223,7 +263,7 @@ def load_embeddings(path) -> EmbeddingSet:
             speakers.append(fields[1])
             yield fields[2]
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         records = tails(fh)
         first = next(records, None)  # loadtxt warns on an empty input
         try:
@@ -243,7 +283,7 @@ def _load_embeddings_by_token(path) -> EmbeddingSet:
     ids, speakers, rows = [], [], []
     seen = set()
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
@@ -277,17 +317,111 @@ def _load_embeddings_by_token(path) -> EmbeddingSet:
 
 
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
+    """Write the text file and, for a regular file, its sidecar.
+
+    Raises InvalidIdError, before the file is opened, for an id or speaker
+    that would not read back as the same single token.
+    """
+    for name in itertools.chain(embeddings.ids, embeddings.speakers):
+        if name.split() != [name]:
+            raise InvalidIdError(
+                f"{path}: utterance or speaker id {name!r} is empty or contains whitespace"
+            )
     # '%.17g' % x is the same text as fmt_float(x), one format call per row
     line = "%s %s " + " ".join(["%.17g"] * embeddings.dim) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
         for utt, speaker, vec in zip(embeddings.ids, embeddings.speakers, embeddings.vectors):
-            fh.write(line % (utt, speaker, *vec.tolist()))
+            data = (line % (utt, speaker, *vec.tolist())).encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    if _is_regular(path):
+        # single-token ids and 17-digit floats parse back to this very set
+        _write_sidecar(embeddings, path, digest.digest())
+
+
+def _is_regular(path) -> bool:
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except (OSError, ValueError):  # the text reader raises the caller's error
+        return False
+
+
+def _sha256(path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + ".npz"
+
+
+def _pack_names(names) -> np.ndarray:
+    # UTF-8 bytes, not a "U" array: that would drop trailing NUL characters
+    return np.frombuffer("\n".join(names).encode("utf-8"), dtype=np.uint8)
+
+
+def _unpack_names(packed: np.ndarray) -> list[str]:
+    if packed.dtype != np.uint8 or packed.ndim != 1:
+        raise ValueError("names must be a 1-D uint8 array")
+    return packed.tobytes().decode("utf-8").split("\n")
+
+
+def _read_sidecar(path, digest: bytes) -> EmbeddingSet | None:
+    """The set stored in the sidecar of `path` if it records `digest`, else None.
+
+    A sidecar that is missing, unreadable, malformed or stale is ignored.
+    """
+    try:
+        with np.load(_sidecar_path(path), allow_pickle=False) as stored:
+            if _unpack_names(stored["sha256"]) != [digest.hex()]:
+                return None
+            vectors = stored["vectors"]
+            ids = _unpack_names(stored["ids"])
+            speakers = _unpack_names(stored["speakers"])
+        if vectors.dtype != np.float64:  # the constructor would convert it
+            return None
+        # the constructor checks shapes, lengths, finiteness and unique ids
+        return EmbeddingSet(ids, speakers, vectors)
+    except Exception:  # any failure means: parse the text instead
+        return None
+
+
+def _write_sidecar(embeddings: EmbeddingSet, path, digest: bytes) -> None:
+    """Store `embeddings` as the sidecar of `path`; skipped on an OSError.
+
+    The sidecar is written to a temporary file, forced to disk and renamed,
+    so a reader sees either the old sidecar or the complete new one.
+    """
+    target = _sidecar_path(path)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(target) + ".", suffix=".tmp",
+            dir=os.path.dirname(target) or ".",
+        )
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(
+                fh, sha256=_pack_names([digest.hex()]), vectors=embeddings.vectors,
+                ids=_pack_names(embeddings.ids), speakers=_pack_names(embeddings.speakers),
+            )
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))  # mkstemp made it 0600
+        os.replace(tmp, target)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def load_trials(path, embeddings: EmbeddingSet | None = None, validate: bool = True) -> TrialList:
     """Parse a trial file; ids are checked against `embeddings` when given."""
     trials = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
@@ -332,7 +466,7 @@ def save_scores(scores: ScoreSet, path) -> None:
 def load_scores(path) -> ScoreSet:
     """Parse a score file; trials come back unlabeled."""
     trials, values = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:

@@ -13,6 +13,10 @@ class DuplicateIdError(SvBackendError):
     """An utterance id occurs more than once in one embedding set."""
 
 
+class InvalidIdError(SvBackendError):
+    """An utterance or speaker id is not one whitespace-free token."""
+
+
 class MissingReferenceError(SvBackendError):
     """A trial or score refers to an utterance id that does not exist."""
 

@@ -641,7 +641,7 @@ def save_model(model: SiameseModel, path) -> None:
 
 
 def load_model(path) -> SiameseModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with corpus.open_text(path) as fh:
         lines = [line.split() for line in fh if line.strip()]
     if not lines or lines[0][:1] != ["siamese"] or len(lines[0]) not in (4, 5):
         raise ParseError(f"{path}: missing 'siamese <variant> <l> <d>' header")

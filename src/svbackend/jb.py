@@ -15,6 +15,7 @@ bridge to the trainable pairwise model in `hybrid`.
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .corpus import float_rows, fmt_float
+from .corpus import float_rows, fmt_float, open_text
 from .errors import (
     ConfigError,
     IllConditionedError,
@@ -77,8 +78,8 @@ class EmConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.rel_tol > 0:
-            raise ConfigError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ConfigError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
 
 
 @dataclass
@@ -428,7 +429,7 @@ def save_jb(model: JbModel, path) -> None:
 
 def load_jb(path) -> JbModel:
     """Read a model file; A and G are recomputed and cross-checked."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = [line.split() for line in fh if line.strip()]
     if not lines or lines[0][:1] != ["jb"] or len(lines[0]) != 2:
         raise ParseError(f"{path}: missing 'jb <d>' header")

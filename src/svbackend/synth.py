@@ -10,6 +10,7 @@ offset added to a random fraction of utterances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,10 @@ class RandomSpd:
 
     seed: int
     cond_cap: float = 100.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.cond_cap) and self.cond_cap >= 1):
+            raise ConfigError(f"condition cap {self.cond_cap} must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,6 @@ def _build_cov(spec, dim: int, name: str, require_pd: bool) -> np.ndarray:
             raise ConfigError(f"{name}: diagonal values out of range")
         return np.diag(values)
     if isinstance(spec, RandomSpd):
-        if spec.cond_cap < 1:
-            raise ConfigError(f"{name}: condition cap {spec.cond_cap} must be >= 1")
         rng = np.random.default_rng(spec.seed)
         q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
         signs = np.sign(np.diag(r))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .corpus import EmbeddingSet, float_rows, fmt_float
+from .corpus import EmbeddingSet, float_rows, fmt_float, open_text
 from .errors import (
     DegenerateScatterError,
     InsufficientClassesError,
@@ -151,7 +151,7 @@ def save_lda(transform: LdaTransform, path) -> None:
 
 
 def load_lda(path) -> LdaTransform:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = [line.split() for line in fh if line.strip()]
     if not lines or lines[0][:1] != ["lda"]:
         raise ParseError(f"{path}: missing 'lda <l> <d>' header")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -203,6 +204,79 @@ class TestNonFiniteFlags:
         assert "lr must be finite" in capsys.readouterr().err
 
 
+    def test_fit_jb_infinite_rel_tol_exits_2(self, corpus_files, tmp_path, capsys):
+        emb, _, _ = corpus_files
+        lda = tmp_path / "lda.txt"
+        assert run("fit-lda", "--embeddings", emb, "--dim", 4, "--out", lda) == 0
+        assert run("fit-jb", "--embeddings", emb, "--lda", lda, "--rel-tol", "inf",
+                   "--out", tmp_path / "jb.txt") == 2
+        assert "rel_tol must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "jb.txt").exists()
+
+    def test_synth_infinite_condition_cap_exits_2(self, tmp_path, capsys):
+        assert run("synth", "--speakers", 5, "--dim", 2, "--cn", "random-spd:1:inf",
+                   "--out", tmp_path / "emb.txt") == 2
+        assert "condition cap inf must be finite" in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    def test_fit_lda_exits_2(self, tmp_path, capsys):
+        emb = tmp_path / "emb.txt"
+        emb.write_bytes(b"u1 a 1 2\nu2 \xff 3 4\n")
+        assert run("fit-lda", "--embeddings", emb, "--dim", 1,
+                   "--out", tmp_path / "lda.txt") == 2
+        assert "emb.txt: not UTF-8 text" in capsys.readouterr().err
+
+
+class TestSidecarTransparency:
+    """The binary sidecar of an embedding file changes no output."""
+
+    STEPS = [
+        ["synth", "--speakers", "80", "--utts", "8", "--dim", "6", "--seed", "7",
+         "--cu", "diagonal:5.0,5.4,5.8,6.2,6.6,7.0", "--cn", "isotropic:1.0",
+         "--mismatch", "channel-shift", "--shift-fraction", "0.5",
+         "--out", "emb.txt", "--truth-out", "truth.txt"],
+        ["make-trials", "--embeddings", "emb.txt", "--n", "500",
+         "--pos-fraction", "0.5", "--seed", "3", "--out", "trials.txt"],
+        ["fit-lda", "--embeddings", "emb.txt", "--dim", "6", "--out", "lda.txt"],
+        ["fit-jb", "--embeddings", "emb.txt", "--lda", "lda.txt", "--out", "jb.txt"],
+        ["init-hybrid", "--init", "jb", "--lda", "lda.txt", "--jb", "jb.txt",
+         "--out", "net.txt"],
+        ["train", "--model", "net.txt", "--embeddings", "emb.txt", "--loss", "dem",
+         "--p-tar", "0.5", "--batch-size", "256", "--epochs", "3", "--pos-fraction", "0.3",
+         "--seed", "11", "--out", "trained.txt", "--history-out", "history.csv"],
+        ["score", "--model", "trained.txt", "--embeddings", "emb.txt",
+         "--trials", "trials.txt", "--out", "scores.txt"],
+        ["eval", "--scores", "scores.txt", "--trials", "trials.txt", "--out", "report.txt",
+         "--det-out", "det.csv", "--hist-out", "hist.csv"],
+        ["ablate", "--model", "trained.txt", "--embeddings", "emb.txt",
+         "--trials", "trials.txt", "--out", "ablate.csv"],
+    ]
+
+    def chain(self, root, monkeypatch, drop_sidecars):
+        root.mkdir()
+        monkeypatch.chdir(root)  # relative paths make the manifests comparable
+        for argv in self.STEPS:
+            if drop_sidecars:
+                for sidecar in root.glob("*.npz"):
+                    sidecar.unlink()
+            assert cli.main(argv) == 0, argv[0]
+        return {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.iterdir()) if p.suffix != ".npz"
+        }
+
+    def test_outputs_identical_without_sidecars(self, tmp_path, monkeypatch):
+        parse, parsed = corpus._parse_embeddings, []
+        monkeypatch.setattr(corpus, "_parse_embeddings",
+                            lambda path: parsed.append(path) or parse(path))
+        kept = self.chain(tmp_path / "kept", monkeypatch, drop_sidecars=False)
+        assert parsed == []  # synth's sidecar served every later command
+        dropped = self.chain(tmp_path / "dropped", monkeypatch, drop_sidecars=True)
+        assert len(parsed) == 6  # one parse per command that reads emb.txt
+        assert len(kept) == 22 and kept == dropped
+
+
 class TestScoreDimensionMismatch:
     @pytest.mark.parametrize("dim", [1, 4])
     def test_score_and_ablate_exit_2(self, corpus_files, tmp_path, capsys, dim):
@@ -231,6 +305,14 @@ class TestReplay:
         emb.unlink()
         assert run("replay", tmp_path / "emb.txt.manifest.json") == 0
         assert emb.read_bytes() == first
+
+
+    @pytest.mark.parametrize("content", [b"not json", b'{"argv": 5}', b"[]", b"\xff"])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, content):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(content)
+        assert run("replay", manifest) == 2
+        assert "m.json: " in capsys.readouterr().err
 
 
 class TestMahalanobisVariant:

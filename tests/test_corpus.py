@@ -1,11 +1,17 @@
+import errno
+import hashlib
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from svbackend import corpus
+from svbackend import corpus, hybrid, jb, transform
 from svbackend.corpus import EmbeddingSet, ScoreSet, Trial, TrialLabel, TrialList
 from svbackend.errors import (
     DegenerateCorpusError,
     DuplicateIdError,
+    InvalidIdError,
     MissingReferenceError,
     NumericError,
     ParseError,
@@ -140,6 +146,208 @@ class TestEmbeddingLoaderDifferential:
         path.write_text(text, encoding="utf-8")
         assert loader_outcome(corpus.load_embeddings, path) == loader_outcome(
             corpus._load_embeddings_by_token, path)
+
+
+class TestSavedIds:
+    @pytest.mark.parametrize("ids, speakers", [
+        (["u1 x", "u2 y"], ["5", "6"]),    # reloads as a 3-D corpus
+        (["", "u2"], ["a", "b"]),
+        (["u1", "u2"], ["a\tb", "c"]),
+        (["u1\n", "u2"], ["a", "b"]),
+        (["u1", "u2"], ["a", "\u2003b"]),   # Unicode whitespace splits too
+    ])
+    def test_unwritable_id_raises_before_opening(self, tmp_path, ids, speakers):
+        path = tmp_path / "emb.txt"
+        with pytest.raises(InvalidIdError):
+            corpus.save_embeddings(EmbeddingSet(ids, speakers, [[1.0, 2.0], [3.0, 4.0]]), path)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("load", [
+        corpus.load_embeddings, corpus.load_trials, corpus.load_scores,
+        transform.load_lda, jb.load_jb, hybrid.load_model,
+    ])
+    @pytest.mark.parametrize("blank_lines", [0, 500])  # in the first block or later
+    def test_parse_error_names_file(self, tmp_path, load, blank_lines):
+        path = tmp_path / "bad.txt"
+        path.write_bytes((b" " * 99 + b"\n") * blank_lines + b"u\xff s 1 2\n")
+        with pytest.raises(ParseError, match="bad.txt: not UTF-8"):
+            load(path)
+
+    def test_embeddings_after_valid_records(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"".join(b"u%d s 1 2\n" % k for k in range(5000)) + b"u s \xff\n")
+        with pytest.raises(ParseError, match="bad.txt: not UTF-8"):
+            corpus.load_embeddings(path)
+        assert not (tmp_path / "bad.txt.npz").exists()
+
+
+SIDECAR_TEXT = "a\x00 s\x00 1.5 -0\nb s 0.1 2e-310\nc t 3 4\n"
+
+
+def pack(names):
+    return np.frombuffer("\n".join(names).encode("utf-8"), dtype=np.uint8)
+
+
+def sidecar_fields(path):
+    """The sidecar layout for the text now in `path`, with a distinct payload
+    (vectors + 1) so that using the sidecar would show in the result."""
+    parsed = corpus._parse_embeddings(path)
+    return {
+        "sha256": pack([hashlib.sha256(path.read_bytes()).hexdigest()]),
+        "vectors": parsed.vectors + 1.0,
+        "ids": pack(parsed.ids), "speakers": pack(parsed.speakers),
+    }
+
+
+def _bad_sidecar(kind, path):
+    fields = sidecar_fields(path)
+    if kind == "digest":
+        fields["sha256"] = pack(["0" * 64])
+    elif kind == "dtype":
+        fields["vectors"] = fields["vectors"].astype(np.float32)
+    elif kind == "byte-order":
+        fields["vectors"] = fields["vectors"].astype(">f8")
+    elif kind == "ndim":
+        fields["vectors"] = fields["vectors"].ravel()
+    elif kind == "length":
+        fields["ids"] = pack(corpus._parse_embeddings(path).ids[:-1])
+    elif kind == "unicode-ids":
+        fields["ids"] = np.array(corpus._parse_embeddings(path).ids)
+    elif kind == "missing-key":
+        del fields["speakers"]
+    elif kind == "non-finite":
+        fields["vectors"][0, 0] = np.inf
+    elif kind == "duplicate-id":
+        fields["ids"] = pack(["b", "b", "c"])
+    np.savez(f"{path}.npz", **fields)
+    if kind == "truncated":
+        sidecar = f"{path}.npz"
+        with open(sidecar, "r+b") as fh:
+            fh.truncate(os.path.getsize(sidecar) // 2)
+    elif kind == "garbage":
+        with open(f"{path}.npz", "wb") as fh:
+            fh.write(b"not a zip archive")
+
+
+class TestSidecar:
+    def write_text(self, tmp_path, text=SIDECAR_TEXT):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def no_parse(self, monkeypatch):
+        def fail(path):
+            raise AssertionError("the text was parsed")
+        monkeypatch.setattr(corpus, "_parse_embeddings", fail)
+
+    def test_sidecar_load_equals_text_parse(self, tmp_path, monkeypatch):
+        path = self.write_text(tmp_path)
+        parsed = loader_outcome(corpus._load_embeddings_by_token, path)
+        assert parsed[0] == ["a\x00", "b", "c"] and parsed[1] == ["s\x00", "s", "t"]
+        assert loader_outcome(corpus.load_embeddings, path) == parsed  # writes it
+        assert (tmp_path / "emb.txt.npz").exists()
+        self.no_parse(monkeypatch)
+        assert loader_outcome(corpus.load_embeddings, path) == parsed
+
+    def test_save_writes_matching_sidecar(self, tmp_path, monkeypatch):
+        s = EmbeddingSet(["a\x00", "b"], ["x", "y\x00"], [[-0.0, 5e-324], [1 / 3, 7.0]])
+        path = tmp_path / "emb.txt"
+        corpus.save_embeddings(s, path)
+        parsed = loader_outcome(corpus._load_embeddings_by_token, path)
+        assert parsed == (s.ids, s.speakers, s.vectors.shape, s.vectors.tobytes())
+        self.no_parse(monkeypatch)
+        assert loader_outcome(corpus.load_embeddings, path) == parsed
+
+    @pytest.mark.parametrize("kind", [
+        "digest", "dtype", "byte-order", "ndim", "length", "unicode-ids",
+        "missing-key", "non-finite", "duplicate-id", "truncated", "garbage",
+    ])
+    def test_bad_sidecar_is_never_used(self, tmp_path, kind):
+        path = self.write_text(tmp_path)
+        _bad_sidecar(kind, path)
+        expected = loader_outcome(corpus._load_embeddings_by_token, path)
+        assert loader_outcome(corpus.load_embeddings, path) == expected
+        # and it was replaced by a good one
+        with np.load(f"{path}.npz") as stored:
+            assert stored["vectors"].tobytes() == expected[3]
+
+    def test_stale_sidecar_after_new_text(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        corpus.save_embeddings(EmbeddingSet(["u1"], ["s"], [[1.0]]), path)
+        path.write_text("u1 s 2\nu2 s 3\n")
+        assert corpus.load_embeddings(path).vectors.tolist() == [[2.0], [3.0]]
+
+    def test_rewritten_in_place_reloads_new_content(self, tmp_path):
+        path = self.write_text(tmp_path)
+        corpus.load_embeddings(path)
+        before = os.stat(path)
+        with open(path, "r+b") as fh:  # same size, same inode, same mtime
+            fh.write(b"z")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert corpus.load_embeddings(path).ids == ["z\x00", "b", "c"]
+
+    def test_file_changed_during_parse_gets_no_sidecar(self, tmp_path, monkeypatch):
+        path = self.write_text(tmp_path)
+        parse = corpus._parse_embeddings
+
+        def parse_then_append(p):
+            parsed = parse(p)
+            with open(p, "a", encoding="utf-8") as fh:
+                fh.write("d t 5 6\n")
+            return parsed
+
+        monkeypatch.setattr(corpus, "_parse_embeddings", parse_then_append)
+        assert len(corpus.load_embeddings(path)) == 3
+        assert not (tmp_path / "emb.txt.npz").exists()
+        monkeypatch.undo()
+        assert len(corpus.load_embeddings(path)) == 4
+
+    def test_unwritable_directory_still_loads(self, tmp_path):
+        path = self.write_text(tmp_path)
+        expected = loader_outcome(corpus._load_embeddings_by_token, path)
+        tmp_path.chmod(0o555)
+        try:
+            if os.access(tmp_path, os.W_OK):
+                pytest.skip("permission bits do not bind this user")
+            assert loader_outcome(corpus.load_embeddings, path) == expected
+            assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
+        finally:
+            tmp_path.chmod(0o755)
+
+    @pytest.mark.parametrize("owner, name", [
+        (corpus.tempfile, "mkstemp"), (corpus.os, "fsync"), (corpus.os, "replace"),
+    ])
+    def test_write_failure_leaves_no_temporary_file(self, tmp_path, monkeypatch, owner, name):
+        path = self.write_text(tmp_path)
+        expected = loader_outcome(corpus._load_embeddings_by_token, path)
+
+        def fail(*args, **kwargs):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(owner, name, fail)
+        assert loader_outcome(corpus.load_embeddings, path) == expected
+        corpus.save_embeddings(corpus._parse_embeddings(path), tmp_path / "out.txt")
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", "out.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_is_parsed_without_sidecar(self, tmp_path, monkeypatch):
+        fifo = tmp_path / "emb.fifo"
+        os.mkfifo(fifo)
+
+        def no_hash(path):  # hashing would consume the pipe
+            raise AssertionError("the pipe was hashed")
+
+        monkeypatch.setattr(corpus, "_sha256", no_hash)
+        writer = threading.Thread(target=fifo.write_text, args=("u1 s 1 2\nu2 t 3 4\n",),
+                                  daemon=True)
+        writer.start()
+        s = corpus.load_embeddings(fifo)
+        writer.join(timeout=10)
+        assert s.ids == ["u1", "u2"] and s.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.fifo"]
 
 
 class TestTrialIo:
