@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -35,7 +36,7 @@ def _write_manifest(args, outputs, inputs=()):
         "config": config,
         "inputs": list(inputs),
         "outputs": list(outputs),
-        "argv": [args.command] + _rebuild_argv(args),
+        "argv": [args.command] + _rebuild_argv(args, os.path.dirname(outputs[0]) or "."),
     }
     path = f"{outputs[0]}.manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -43,11 +44,18 @@ def _write_manifest(args, outputs, inputs=()):
         fh.write("\n")
 
 
-def _rebuild_argv(args):
+# File arguments; a manifest records them relative to its own directory.
+_PATH_ARGS = {"embeddings", "lda", "jb", "model", "trials", "scores",
+              "out", "truth_out", "history_out", "det_out", "hist_out"}
+
+
+def _rebuild_argv(args, manifest_dir):
     argv = []
     for key, value in sorted(vars(args).items()):
         if key in ("func", "command") or value is None:
             continue
+        if key in _PATH_ARGS and not os.path.isabs(value):
+            value = os.path.relpath(value, manifest_dir)
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if value:
@@ -143,7 +151,7 @@ def _cmd_fit_jb(args):
         verbose=args.verbose,
         drop_posterior_cov=args.em_like,
     )
-    model = jb.fit_jb_em(vectors, embeddings.speakers, cfg)
+    model = jb.fit_jb_em(vectors, embeddings.speaker_codes(), cfg)
     jb.save_jb(model, args.out)
     _write_manifest(args, [args.out], inputs=[args.embeddings, args.lda])
 
@@ -257,7 +265,11 @@ def _cmd_replay(args):
     argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise ParseError(f"{args.manifest}: no 'argv' list of strings")
-    return main(argv)
+    replayed = _build_parser().parse_args(argv)
+    for key, value in list(vars(replayed).items()):
+        if key in _PATH_ARGS and value is not None:
+            setattr(replayed, key, os.path.join(os.path.dirname(args.manifest), value))
+    return replayed.func(replayed)
 
 
 def _build_parser() -> _Parser:

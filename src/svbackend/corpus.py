@@ -89,7 +89,9 @@ class EmbeddingSet:
     """Immutable labeled collection of fixed-dimension embedding vectors."""
 
     def __init__(self, ids, speakers, vectors):
-        vectors = np.array(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.flags.writeable:  # a caller's array: never freeze or share it
+            vectors = vectors.copy()
         ids = [str(u) for u in ids]
         speakers = [str(s) for s in speakers]
         if vectors.ndim != 2:
@@ -142,7 +144,7 @@ class EmbeddingSet:
         return EmbeddingSet(
             [self.ids[k] for k in indices],
             [self.speakers[k] for k in indices],
-            self.vectors[indices],
+            _frozen(self.vectors[indices]),
         )
 
     def subset_by_speakers(self, keep) -> "EmbeddingSet":
@@ -151,6 +153,30 @@ class EmbeddingSet:
         if not indices:
             raise DegenerateCorpusError("speaker subset selects no utterances")
         return self.subset(indices)
+
+
+class SpeakerStats:
+    """Per-speaker sufficient statistics of a labeled vector matrix.
+
+    `counts`, `sums` and `means` have one row per speaker, in sorted label
+    order; `within` is the centered within-speaker scatter, the sum over
+    utterances of (x - speaker mean)(x - speaker mean)', as one product.
+    """
+
+    def __init__(self, vectors, speakers):
+        X = np.asarray(vectors, dtype=np.float64)
+        labels = np.asarray(speakers)
+        if X.ndim != 2 or labels.shape != X.shape[:1]:
+            raise ShapeError(f"{labels.shape} labels for vectors of shape {X.shape}")
+        codes = np.unique(labels, return_inverse=True)[1]
+        self.n_total, self.d = X.shape
+        self.counts = np.bincount(codes)
+        self.sums = np.zeros((self.counts.size, self.d))
+        np.add.at(self.sums, codes, X)
+        self.means = self.sums / self.counts[:, None]
+        centered = self.means[codes]
+        np.subtract(X, centered, out=centered)
+        self.within = centered.T @ centered  # one symmetric rank-k product
 
 
 @dataclass
@@ -275,7 +301,13 @@ def _parse_embeddings(path) -> EmbeddingSet:
             vectors = None
     if vectors is None or irregular or vectors.shape[0] != len(ids):
         return _load_embeddings_by_token(path)
-    return EmbeddingSet(ids, speakers, vectors)
+    return EmbeddingSet(ids, speakers, _frozen(vectors))
+
+
+def _frozen(fresh: np.ndarray) -> np.ndarray:
+    """Mark an array no one else holds read-only, so EmbeddingSet keeps it."""
+    fresh.setflags(write=False)
+    return fresh
 
 
 def _load_embeddings_by_token(path) -> EmbeddingSet:
@@ -313,7 +345,7 @@ def _load_embeddings_by_token(path) -> EmbeddingSet:
             rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no embedding records")
-    return EmbeddingSet(ids, speakers, np.array(rows, dtype=np.float64))
+    return EmbeddingSet(ids, speakers, _frozen(np.array(rows, dtype=np.float64)))
 
 
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
@@ -379,7 +411,7 @@ def _read_sidecar(path, digest: bytes) -> EmbeddingSet | None:
         with np.load(_sidecar_path(path), allow_pickle=False) as stored:
             if _unpack_names(stored["sha256"]) != [digest.hex()]:
                 return None
-            vectors = stored["vectors"]
+            vectors = _frozen(stored["vectors"])
             ids = _unpack_names(stored["ids"])
             speakers = _unpack_names(stored["speakers"])
         if vectors.dtype != np.float64:  # the constructor would convert it

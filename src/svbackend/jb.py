@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .corpus import float_rows, fmt_float, open_text
+from .corpus import SpeakerStats, float_rows, fmt_float, open_text
 from .errors import (
     ConfigError,
     IllConditionedError,
@@ -93,6 +93,14 @@ class JbModel:
     P_A: np.ndarray
     P_G: np.ndarray
     em_log_likelihoods: list[float] | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_covariances(cls, C_u, C_n, em_log_likelihoods=None) -> "JbModel":
+        """The model of (C_u, C_n), with A, G and their factors derived."""
+        C_u = np.asarray(C_u, dtype=np.float64)
+        C_n = np.asarray(C_n, dtype=np.float64)
+        A, G = derive_ag(C_u, C_n)
+        return cls(C_u, C_n, A, G, factorize_nsd(A), factorize_nsd(G), em_log_likelihoods)
 
     @property
     def dim(self) -> int:
@@ -240,66 +248,63 @@ def oracle_llr_density(C_u, C_n, h_i, h_j):
     return float(out[0]) if squeeze else out
 
 
-class _SpeakerStats:
-    """Per-speaker sufficient statistics grouped by utterance count."""
-
-    def __init__(self, vectors: np.ndarray, speakers):
-        X = np.asarray(vectors, dtype=np.float64)
-        if X.ndim != 2:
-            raise ShapeError(f"expected (N, d) vectors, got shape {X.shape}")
-        labels = np.asarray(speakers)
-        if labels.shape[0] != X.shape[0]:
-            raise ShapeError(f"{labels.shape[0]} labels for {X.shape[0]} vectors")
-        self.n_total, self.d = X.shape
-        self.xtx = X.T @ X
-        codes = np.unique(labels, return_inverse=True)[1]
-        counts = np.bincount(codes)
-        sums = np.zeros((counts.size, self.d))
-        np.add.at(sums, codes, X)
-        self.n_speakers = counts.size
-        # groups: utterance count m -> (n_g, d) matrix of per-speaker sums
-        self.groups: list[tuple[int, np.ndarray]] = []
-        for m in np.unique(counts):
-            self.groups.append((int(m), sums[counts == m]))
-        self.max_count = int(counts.max())
-
-    def speaker_mean_stats(self):
-        total = np.zeros((self.d, self.d))
-        mean_sum = np.zeros(self.d)
-        for m, sums in self.groups:
-            mu = sums / m
-            total += mu.T @ mu
-            mean_sum += mu.sum(axis=0)
-        grand = mean_sum / self.n_speakers
-        between = total / self.n_speakers - np.outer(grand, grand)
-        return _sym(between)
-
-
-def _marginal_loglik(C_u: np.ndarray, C_n: np.ndarray, stats: _SpeakerStats) -> float:
-    """Sum over speakers of the stacked-observation Gaussian log density.
-
-    The per-speaker covariance has C_u + C_n on the diagonal blocks and
-    C_u off-diagonal; its inverse and determinant reduce to the d x d
-    matrices C_n and T_m = C_n + m C_u, so no md x md matrix is formed.
+def _count_groups(stats: SpeakerStats):
+    """Distinct utterance counts m, speakers per count n_g, and factor rows R
+    with each row's group: R_g'R_g sums s s' over group g's speaker sums s,
+    and a group of more speakers than dimensions becomes its d-row QR factor.
     """
-    cn_factor = _spd_factor(C_n, "C_n")
-    cn_inv = cho_solve(cn_factor, np.eye(stats.d))
-    logdet_cn = _logdet(cn_factor)
-    ll = -0.5 * (stats.n_total * stats.d * _LOG_2PI + float(np.sum(cn_inv * stats.xtx)))
-    for m, sums in stats.groups:
-        t_m = C_n + m * C_u
-        t_factor = _spd_factor(t_m, f"C_n + {m} C_u")
-        n_g = sums.shape[0]
-        ll -= 0.5 * n_g * ((m - 1) * logdet_cn + _logdet(t_factor))
-        quad_t = np.sum(sums * cho_solve(t_factor, sums.T).T, axis=1)
-        quad_n = np.sum(sums * (sums @ cn_inv), axis=1)
-        ll -= 0.5 * float(np.sum(quad_t - quad_n)) / m
-    return ll
+    ms, n_g = np.unique(stats.counts, return_counts=True)
+    rows = [stats.sums[stats.counts == m] for m in ms]
+    rows = [np.linalg.qr(r, mode="r") if len(r) > stats.d else r for r in rows]
+    return ms, n_g, np.vstack(rows), np.repeat(np.arange(ms.size), [len(r) for r in rows])
+
+
+def _em_step(C_u, C_n, stats: SpeakerStats, groups, drop_posterior_cov: bool):
+    """Marginal log-likelihood at (C_u, C_n) and the EM update from there.
+
+    In the basis V with V'C_n V = I and V'C_u V = diag(psi), the posterior
+    of V'u for a speaker with m utterances and projected sum y is diagonal,
+    with mean y psi/(1+m psi) and variances psi/(1+m psi); B = C_n V maps
+    back. V comes from numpy's LAPACK: after scipy's bundled BLAS runs, its
+    idle threads slow numpy's next products several-fold.
+    """
+    ms, n_g, R, row_group = groups
+    try:
+        L = np.linalg.cholesky(C_n)
+    except np.linalg.LinAlgError:
+        raise IllConditionedError("C_n is not positive definite") from None
+    L_inv = np.linalg.inv(L)
+    psi, Q = np.linalg.eigh(L_inv @ C_u @ L_inv.T)
+    V = L_inv.T @ Q
+    t = 1.0 + np.outer(ms, psi)  # per group: 1 + m psi
+    if not np.all(t > 0):
+        raise IllConditionedError("C_n + m C_u is not positive definite")
+    Y = R @ V
+    m_rows = ms[row_group][:, None]
+    t_rows = t[row_group]
+    ll = -0.5 * (
+        stats.n_total * (stats.d * _LOG_2PI + 2.0 * np.sum(np.log(np.diag(L))))
+        + float(n_g @ np.log(t).sum(axis=1))
+        + float(np.sum(V * (stats.within @ V)))
+        + float(np.sum(Y * Y / (m_rows * t_rows)))
+    )
+    post_var = psi / t
+    means = Y * post_var[row_group]  # posterior speaker means, one per row
+    resid = Y / (np.sqrt(m_rows) * t_rows)  # y/sqrt(m) - sqrt(m) * mean
+    sum_uu = means.T @ means
+    sum_resid = resid.T @ resid
+    if not drop_posterior_cov:
+        sum_uu += np.diag(n_g @ post_var)
+        sum_resid += np.diag((n_g * ms) @ post_var)
+    B = C_n @ V
+    C_u_new = _sym(B @ sum_uu @ B.T) / stats.counts.size
+    return ll, C_u_new, _sym(stats.within + B @ sum_resid @ B.T) / stats.n_total
 
 
 def jb_log_likelihood(model: JbModel, vectors, speakers) -> float:
     """Total marginal log-likelihood of labeled vectors under the model."""
-    return _marginal_loglik(model.C_u, model.C_n, _SpeakerStats(vectors, speakers))
+    stats = SpeakerStats(vectors, speakers)
+    return _em_step(model.C_u, model.C_n, stats, _count_groups(stats), False)[0]
 
 
 def _floor_pd(m: np.ndarray, what: str) -> np.ndarray:
@@ -316,42 +321,6 @@ def _floor_pd(m: np.ndarray, what: str) -> np.ndarray:
     return bumped
 
 
-def _moment_init(stats: _SpeakerStats) -> tuple[np.ndarray, np.ndarray]:
-    """Between-speaker covariance of speaker means / pooled within scatter."""
-    between = stats.speaker_mean_stats()
-    within = stats.xtx.copy()
-    for m, sums in stats.groups:
-        mu = sums / m
-        within -= m * (mu.T @ mu)
-    within = _sym(within / stats.n_total)
-    return _floor_pd(between, "speaker covariance"), _floor_pd(within, "noise covariance")
-
-
-def _em_update(C_u, C_n, stats: _SpeakerStats, drop_posterior_cov: bool):
-    cu_inv = _spd_inverse(C_u, "C_u")
-    cn_inv = _spd_inverse(C_n, "C_n")
-    d = stats.d
-    sum_uu = np.zeros((d, d))
-    sum_mu_s = np.zeros((d, d))
-    sum_m_mumu = np.zeros((d, d))
-    sum_m_cov = np.zeros((d, d))
-    for m, sums in stats.groups:
-        lam_inv = _spd_inverse(cu_inv + m * cn_inv, "posterior precision")
-        mu = sums @ cn_inv @ lam_inv  # rows are the posterior speaker means
-        n_g = sums.shape[0]
-        mu_outer = mu.T @ mu
-        sum_uu += mu_outer
-        sum_mu_s += mu.T @ sums
-        sum_m_mumu += m * mu_outer
-        if not drop_posterior_cov:
-            sum_uu += n_g * lam_inv
-            sum_m_cov += m * n_g * lam_inv
-    C_u_new = _sym(sum_uu / stats.n_speakers)
-    residual = stats.xtx - sum_mu_s - sum_mu_s.T + sum_m_mumu
-    C_n_new = _sym((residual + sum_m_cov) / stats.n_total)
-    return C_u_new, C_n_new
-
-
 def fit_jb_em(vectors, speakers, cfg: EmConfig | None = None) -> JbModel:
     """Fit (C_u, C_n) by expectation-maximization and derive A, G, P_A, P_G.
 
@@ -364,8 +333,8 @@ def fit_jb_em(vectors, speakers, cfg: EmConfig | None = None) -> JbModel:
     """
     cfg = cfg if cfg is not None else EmConfig()
     X = np.asarray(vectors, dtype=np.float64)
-    stats = _SpeakerStats(X, speakers)
-    if stats.max_count < 2:
+    stats = SpeakerStats(X, speakers)
+    if stats.counts.max() < 2:
         raise UnidentifiableModelError(
             "every speaker has a single utterance; speaker and noise "
             "covariances are not separable"
@@ -378,13 +347,16 @@ def fit_jb_em(vectors, speakers, cfg: EmConfig | None = None) -> JbModel:
             f"norm {typical:.3g}; the model assumes centered data",
             stacklevel=2,
         )
-    C_u, C_n = _moment_init(stats)
+    # moment initialization: covariance of the speaker means, pooled within scatter
+    offsets = stats.means - stats.means.mean(axis=0)
+    C_u = _floor_pd(offsets.T @ offsets / stats.counts.size, "speaker covariance")
+    C_n = _floor_pd(stats.within / stats.n_total, "noise covariance")
+    groups = _count_groups(stats)
     history: list[float] = []
     prev_ll = None
     for iteration in range(cfg.max_iters):
         try:
-            ll = _marginal_loglik(C_u, C_n, stats)
-            C_u_new, C_n_new = _em_update(C_u, C_n, stats, cfg.drop_posterior_cov)
+            ll, C_u_new, C_n_new = _em_step(C_u, C_n, stats, groups, cfg.drop_posterior_cov)
         except IllConditionedError as exc:
             raise IllConditionedError(f"EM iteration {iteration}: {exc}") from exc
         history.append(ll)
@@ -401,17 +373,8 @@ def fit_jb_em(vectors, speakers, cfg: EmConfig | None = None) -> JbModel:
         prev_ll = ll
         if rel_param < cfg.rel_tol and rel_ll < cfg.rel_tol:
             break
-    history.append(_marginal_loglik(C_u, C_n, stats))
-    A, G = derive_ag(C_u, C_n)
-    return JbModel(
-        C_u=C_u,
-        C_n=C_n,
-        A=A,
-        G=G,
-        P_A=factorize_nsd(A),
-        P_G=factorize_nsd(G),
-        em_log_likelihoods=history,
-    )
+    history.append(_em_step(C_u, C_n, stats, groups, cfg.drop_posterior_cov)[0])
+    return JbModel.from_covariances(C_u, C_n, history)
 
 
 def _write_matrix(fh, m: np.ndarray) -> None:

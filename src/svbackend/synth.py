@@ -11,7 +11,7 @@ offset added to a random fraction of utterances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,13 +19,24 @@ from . import corpus, jb
 from .errors import ConfigError, InsufficientClassesError
 
 
+class _FiniteFields:
+    """Rejects a recipe field that is not finite (None keeps a default)."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if v is not None and not math.isfinite(v):
+                    raise ConfigError(f"{type(self).__name__} {f.name} {v} must be finite")
+
+
 @dataclass(frozen=True)
-class Isotropic:
+class Isotropic(_FiniteFields):
     variance: float
 
 
 @dataclass(frozen=True)
-class Diagonal:
+class Diagonal(_FiniteFields):
     values: tuple[float, ...]
 
 
@@ -42,14 +53,14 @@ class RandomSpd:
 
 
 @dataclass(frozen=True)
-class HeavyTail:
+class HeavyTail(_FiniteFields):
     """Noise from a multivariate t, rescaled so its covariance stays C_n."""
 
     dof: float = 4.0
 
 
 @dataclass(frozen=True)
-class ChannelShift:
+class ChannelShift(_FiniteFields):
     """Fixed offset added to a random fraction of utterances.
 
     offset_norm defaults to sqrt(trace(C_n)) when left unset.
@@ -169,15 +180,7 @@ def generate(cfg: SynthConfig):
 
 def ground_truth_model(c_u: np.ndarray, c_n: np.ndarray) -> jb.JbModel:
     """Wrap ground-truth covariances as a scoring model (oracle detector)."""
-    a, g = jb.derive_ag(c_u, c_n)
-    return jb.JbModel(
-        C_u=np.asarray(c_u, dtype=np.float64),
-        C_n=np.asarray(c_n, dtype=np.float64),
-        A=a,
-        G=g,
-        P_A=jb.factorize_nsd(a),
-        P_G=jb.factorize_nsd(g),
-    )
+    return jb.JbModel.from_covariances(c_u, c_n)
 
 
 def sample_trials(embeddings: corpus.EmbeddingSet, n_trials: int, pos_fraction: float, seed: int) -> corpus.TrialList:

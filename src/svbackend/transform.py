@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .corpus import EmbeddingSet, float_rows, fmt_float, open_text
+from .corpus import EmbeddingSet, SpeakerStats, float_rows, fmt_float, open_text
 from .errors import (
     DegenerateScatterError,
     InsufficientClassesError,
@@ -60,19 +60,9 @@ def scatter_matrices(vectors: np.ndarray, speakers) -> tuple[np.ndarray, np.ndar
     utterance count (speaker terms weighted by their utterance share).
     """
     X = np.asarray(vectors, dtype=np.float64)
-    n, dim = X.shape
-    mean = X.mean(axis=0)
-    labels = np.asarray(speakers)
-    s_w = np.zeros((dim, dim))
-    s_b = np.zeros((dim, dim))
-    for spk in np.unique(labels):
-        rows = X[labels == spk]
-        mu = rows.mean(axis=0)
-        centered = rows - mu
-        s_w += centered.T @ centered
-        offset = mu - mean
-        s_b += rows.shape[0] * np.outer(offset, offset)
-    return s_w / n, s_b / n
+    stats = SpeakerStats(X, speakers)
+    offsets = np.sqrt(stats.counts)[:, None] * (stats.means - X.mean(axis=0))
+    return stats.within / stats.n_total, offsets.T @ offsets / stats.n_total
 
 
 def fit_lda(embeddings: EmbeddingSet, d: int, pre_normalize: bool = False) -> LdaTransform:
@@ -104,7 +94,7 @@ def fit_lda(embeddings: EmbeddingSet, d: int, pre_normalize: bool = False) -> Ld
     mean = X.mean(axis=0)
     if np.max(np.abs(X - mean)) == 0.0:
         raise DegenerateScatterError("all vectors are identical; scatter is zero")
-    s_w, s_b = scatter_matrices(X, embeddings.speakers)
+    s_w, s_b = scatter_matrices(X, embeddings.speaker_codes())
     ridge = SCATTER_EPS * np.trace(s_w) / dim
     s_w_reg = s_w + ridge * np.eye(dim)
     try:

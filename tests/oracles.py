@@ -6,6 +6,9 @@ shares no code with the package paths it checks.
 """
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+from svbackend.errors import IllConditionedError
 
 
 def mvn_logpdf(x, cov):
@@ -166,3 +169,169 @@ def loader_outcome(reader, path):
     except Exception as exc:
         return type(exc), str(exc)
     return s.ids, s.speakers, s.vectors.shape, s.vectors.tobytes()
+
+
+# -- per-speaker statistics, scatter and covariance EM, written per group ----
+#
+# These are the scatter loop and the count-group EM the package used before
+# it fitted from one shared statistics object in the diagonalizing basis.
+# They keep their own copies of the Cholesky helpers.
+
+
+def _sym(m):
+    return (m + m.T) / 2.0
+
+
+def _spd_factor(m, what):
+    try:
+        return cho_factor(m, lower=True)
+    except np.linalg.LinAlgError:
+        pass
+    bump = 1e-10 * float(np.trace(m)) / m.shape[0]
+    try:
+        return cho_factor(m + bump * np.eye(m.shape[0]), lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"{what} is not positive definite") from exc
+
+
+def _spd_inverse(m, what):
+    return _sym(cho_solve(_spd_factor(m, what), np.eye(m.shape[0])))
+
+
+def _logdet(factor):
+    return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+
+
+def loop_scatter_matrices(vectors, speakers):
+    """S_w and S_b as one rank-m update per speaker, selected by label mask."""
+    X = np.asarray(vectors, dtype=np.float64)
+    n, dim = X.shape
+    mean = X.mean(axis=0)
+    labels = np.asarray(speakers)
+    s_w = np.zeros((dim, dim))
+    s_b = np.zeros((dim, dim))
+    for spk in np.unique(labels):
+        rows = X[labels == spk]
+        mu = rows.mean(axis=0)
+        centered = rows - mu
+        s_w += centered.T @ centered
+        offset = mu - mean
+        s_b += rows.shape[0] * np.outer(offset, offset)
+    return s_w / n, s_b / n
+
+
+class GroupedSpeakerStats:
+    """Per-speaker sums grouped by utterance count, plus X'X."""
+
+    def __init__(self, vectors, speakers):
+        X = np.asarray(vectors, dtype=np.float64)
+        labels = np.asarray(speakers)
+        self.n_total, self.d = X.shape
+        self.xtx = X.T @ X
+        codes = np.unique(labels, return_inverse=True)[1]
+        counts = np.bincount(codes)
+        sums = np.zeros((counts.size, self.d))
+        np.add.at(sums, codes, X)
+        self.n_speakers = counts.size
+        self.groups = [(int(m), sums[counts == m]) for m in np.unique(counts)]
+        self.max_count = int(counts.max())
+
+    def speaker_mean_stats(self):
+        total = np.zeros((self.d, self.d))
+        mean_sum = np.zeros(self.d)
+        for m, sums in self.groups:
+            mu = sums / m
+            total += mu.T @ mu
+            mean_sum += mu.sum(axis=0)
+        grand = mean_sum / self.n_speakers
+        return _sym(total / self.n_speakers - np.outer(grand, grand))
+
+
+def grouped_marginal_loglik(C_u, C_n, stats):
+    """Marginal log-likelihood with one Cholesky of C_n + m C_u per count group."""
+    cn_factor = _spd_factor(C_n, "C_n")
+    cn_inv = cho_solve(cn_factor, np.eye(stats.d))
+    logdet_cn = _logdet(cn_factor)
+    ll = -0.5 * (stats.n_total * stats.d * np.log(2.0 * np.pi)
+                 + float(np.sum(cn_inv * stats.xtx)))
+    for m, sums in stats.groups:
+        t_factor = _spd_factor(C_n + m * C_u, f"C_n + {m} C_u")
+        n_g = sums.shape[0]
+        ll -= 0.5 * n_g * ((m - 1) * logdet_cn + _logdet(t_factor))
+        quad_t = np.sum(sums * cho_solve(t_factor, sums.T).T, axis=1)
+        quad_n = np.sum(sums * (sums @ cn_inv), axis=1)
+        ll -= 0.5 * float(np.sum(quad_t - quad_n)) / m
+    return ll
+
+
+def _grouped_floor_pd(m, what):
+    try:
+        cho_factor(m, lower=True)
+        return m
+    except np.linalg.LinAlgError:
+        pass
+    bumped = m + 1e-6 * float(np.mean(np.diag(m))) * np.eye(m.shape[0])
+    try:
+        cho_factor(bumped, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"initial {what} cannot be floored to PD") from exc
+    return bumped
+
+
+def grouped_moment_init(stats):
+    within = stats.xtx.copy()
+    for m, sums in stats.groups:
+        mu = sums / m
+        within -= m * (mu.T @ mu)
+    within = _sym(within / stats.n_total)
+    return (_grouped_floor_pd(stats.speaker_mean_stats(), "speaker covariance"),
+            _grouped_floor_pd(within, "noise covariance"))
+
+
+def grouped_em_update(C_u, C_n, stats, drop_posterior_cov):
+    """One EM step with a posterior precision inverse per count group."""
+    cu_inv = _spd_inverse(C_u, "C_u")
+    cn_inv = _spd_inverse(C_n, "C_n")
+    d = stats.d
+    sum_uu = np.zeros((d, d))
+    sum_mu_s = np.zeros((d, d))
+    sum_m_mumu = np.zeros((d, d))
+    sum_m_cov = np.zeros((d, d))
+    for m, sums in stats.groups:
+        lam_inv = _spd_inverse(cu_inv + m * cn_inv, "posterior precision")
+        mu = sums @ cn_inv @ lam_inv
+        n_g = sums.shape[0]
+        mu_outer = mu.T @ mu
+        sum_uu += mu_outer
+        sum_mu_s += mu.T @ sums
+        sum_m_mumu += m * mu_outer
+        if not drop_posterior_cov:
+            sum_uu += n_g * lam_inv
+            sum_m_cov += m * n_g * lam_inv
+    C_u_new = _sym(sum_uu / stats.n_speakers)
+    residual = stats.xtx - sum_mu_s - sum_mu_s.T + sum_m_mumu
+    return C_u_new, _sym((residual + sum_m_cov) / stats.n_total)
+
+
+def grouped_em_fit(vectors, speakers, max_iters=200, rel_tol=1e-6,
+                   drop_posterior_cov=False):
+    """(C_u, C_n, log-likelihoods) from the per-group EM, same stopping rule."""
+    stats = GroupedSpeakerStats(vectors, speakers)
+    C_u, C_n = grouped_moment_init(stats)
+    history = []
+    prev_ll = None
+    for _ in range(max_iters):
+        ll = grouped_marginal_loglik(C_u, C_n, stats)
+        C_u_new, C_n_new = grouped_em_update(C_u, C_n, stats, drop_posterior_cov)
+        history.append(ll)
+        rel_param = max(
+            float(np.linalg.norm(C_u_new - C_u)) / max(float(np.linalg.norm(C_u)), 1e-300),
+            float(np.linalg.norm(C_n_new - C_n)) / max(float(np.linalg.norm(C_n)), 1e-300),
+        )
+        rel_ll = abs(ll - prev_ll) / max(1.0, abs(ll)) if prev_ll is not None else np.inf
+        C_u, C_n = C_u_new, C_n_new
+        prev_ll = ll
+        if rel_param < rel_tol and rel_ll < rel_tol:
+            break
+    history.append(grouped_marginal_loglik(C_u, C_n, stats))
+    return C_u, C_n, history

@@ -219,6 +219,22 @@ class TestNonFiniteFlags:
         assert "condition cap inf must be finite" in capsys.readouterr().err
 
 
+class TestNonFiniteSynthRecipes:
+    @pytest.mark.parametrize("flags, message", [
+        (["--cu", "isotropic:nan"], "Isotropic variance nan must be finite"),
+        (["--cu", "diagonal:inf,1"], "Diagonal values inf must be finite"),
+        (["--dof", "inf", "--mismatch", "heavy-tail"], "HeavyTail dof inf must be finite"),
+        (["--shift-norm", "nan", "--mismatch", "channel-shift"],
+         "ChannelShift offset_norm nan must be finite"),
+    ])
+    def test_exits_2_naming_the_value(self, tmp_path, capsys, flags, message):
+        assert run("synth", "--speakers", 5, "--dim", 2, *flags,
+                   "--out", tmp_path / "emb.txt") == 2
+        err = capsys.readouterr().err
+        assert message in err and "embedding vectors" not in err
+        assert not (tmp_path / "emb.txt").exists()
+
+
 class TestNonUtf8Input:
     def test_fit_lda_exits_2(self, tmp_path, capsys):
         emb = tmp_path / "emb.txt"
@@ -306,6 +322,28 @@ class TestReplay:
         assert run("replay", tmp_path / "emb.txt.manifest.json") == 0
         assert emb.read_bytes() == first
 
+
+    def test_replay_from_another_directory(self, tmp_path, monkeypatch, corpus_files):
+        emb, _, trials = corpus_files
+        sub = tmp_path / "t"
+        sub.mkdir()
+        monkeypatch.chdir(sub)  # recorded with paths relative to t/
+        assert run("fit-lda", "--embeddings", "../emb.txt", "--dim", 4, "--out", "lda.txt") == 0
+        assert run("score", "--model", "net.txt", "--embeddings", "../emb.txt",
+                   "--trials", "../trials.txt", "--out", "e.txt") == 2  # no net.txt yet
+        hybrid.save_model(hybrid.init_random(6, 3, seed=1), sub / "net.txt")
+        assert run("score", "--model", "net.txt", "--embeddings", "../emb.txt",
+                   "--trials", "../trials.txt", "--out", "e.txt") == 0
+        first = {name: (sub / name).read_bytes() for name in ("lda.txt", "e.txt")}
+        for name in first:
+            (sub / name).unlink()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run("replay", "../t/lda.txt.manifest.json") == 0
+        assert run("replay", sub / "e.txt.manifest.json") == 0
+        assert {name: (sub / name).read_bytes() for name in first} == first
+        assert list(elsewhere.iterdir()) == []
 
     @pytest.mark.parametrize("content", [b"not json", b'{"argv": 5}', b"[]", b"\xff"])
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, content):

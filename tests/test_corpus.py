@@ -71,6 +71,37 @@ class TestEmbeddingSet:
         assert sub.ids == ["u1", "u3"]
         assert sub.speakers == ["spkA", "spkA"]
 
+    def test_caller_array_is_neither_frozen_nor_shared(self):
+        mine = np.arange(6.0).reshape(3, 2)
+        s = EmbeddingSet(["u1", "u2", "u3"], ["a", "b", "a"], mine)
+        assert mine.flags.writeable and not np.shares_memory(s.vectors, mine)
+        mine[0, 0] = 99.0
+        assert s.vectors[0, 0] == 0.0
+        for view in (mine[::2], mine.T.T):  # views of the caller's memory
+            assert not np.shares_memory(EmbeddingSet(["x", "y", "z"][: len(view)],
+                                                     ["a"] * len(view), view).vectors, mine)
+
+    def test_read_only_float64_array_is_kept_without_a_copy(self):
+        frozen = np.arange(4.0).reshape(2, 2)
+        frozen.setflags(write=False)
+        assert EmbeddingSet(["u1", "u2"], ["a", "b"], frozen).vectors is frozen
+
+    def test_loaders_hand_over_read_only_arrays(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        corpus.save_embeddings(small_set(), path)
+        os.remove(f"{path}.npz")
+        handed, init = [], EmbeddingSet.__init__
+
+        def recording_init(self, ids, speakers, vectors):
+            handed.append(vectors.flags.writeable)
+            init(self, ids, speakers, vectors)
+
+        monkeypatch.setattr(EmbeddingSet, "__init__", recording_init)
+        corpus.load_embeddings(path)  # parses the text and writes the sidecar
+        corpus.load_embeddings(path)  # reads the sidecar
+        corpus._load_embeddings_by_token(path)
+        assert handed == [False, False, False]
+
 
 class TestEmbeddingIo:
     def test_direct_parse(self, tmp_path):
