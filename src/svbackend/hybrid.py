@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import corpus
 from .errors import (
@@ -36,6 +35,13 @@ from .jb import JbModel
 from .transform import LdaTransform
 
 LOG_CLAMP = 1e-12  # floor on log arguments; saturated sigmoids stay finite
+
+
+def _expit(z):
+    """Logistic sigmoid; scipy is imported here so that only the commands
+    that apply it pay for loading scipy.special."""
+    from scipy.special import expit
+    return expit(z)
 
 
 class Variant(str, enum.Enum):
@@ -269,7 +275,7 @@ def forward(model: SiameseModel, x_i, x_j):
     g_i = ht_i @ model.P_G
     g_j = ht_j @ model.P_G
     r = 2.0 * np.sum(g_i * g_j, axis=1) - np.sum(a_i * a_i, axis=1) - np.sum(a_j * a_j, axis=1)
-    f = expit(model.alpha * r + model.beta)
+    f = _expit(model.alpha * r + model.beta)
     if squeeze:
         return float(r[0]), float(f[0])
     return r, f
@@ -284,7 +290,7 @@ def forward_md(model: SiameseModel, x_i, x_j):
     _, ht_j, _ = _project(model, x_j)
     q = (ht_i - ht_j) @ model.P
     dist = np.sum(q * q, axis=1)
-    p = expit(model.lam * (model.d0 - dist))
+    p = _expit(model.lam * (model.d0 - dist))
     if squeeze:
         return float(dist[0]), float(p[0])
     return dist, p
@@ -444,7 +450,7 @@ def loss_and_grad(model: SiameseModel, batch: Batch, cfg: LossConfig,
         g_j = ht_j @ model.P_G
         r = (2.0 * np.sum(g_i * g_j, axis=1)
              - np.sum(a_i * a_i, axis=1) - np.sum(a_j * a_j, axis=1))
-        f = expit(model.alpha * r + model.beta)
+        f = _expit(model.alpha * r + model.beta)
         value = loss(f, labels, cfg)
         df = _loss_df(f, labels, cfg)
         dz = df * f * (1.0 - f)          # d loss / d (alpha r + beta)
@@ -462,7 +468,7 @@ def loss_and_grad(model: SiameseModel, batch: Batch, cfg: LossConfig,
         delta = ht_i - ht_j
         q = delta @ model.P
         dist = np.sum(q * q, axis=1)
-        p = expit(model.lam * (model.d0 - dist))
+        p = _expit(model.lam * (model.d0 - dist))
         value = loss(p, labels, cfg)
         dp = _loss_df(p, labels, cfg)
         dz = dp * p * (1.0 - p)

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .corpus import SpeakerStats, float_rows, fmt_float, open_text
 from .errors import (
@@ -44,6 +43,7 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 def _spd_factor(m: np.ndarray, what: str):
     """Cholesky factor of a symmetric PD matrix, with one jitter retry."""
+    from scipy.linalg import cho_factor
     try:
         return cho_factor(m, lower=True)
     except np.linalg.LinAlgError:
@@ -56,6 +56,7 @@ def _spd_factor(m: np.ndarray, what: str):
 
 
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
+    from scipy.linalg import cho_solve
     factor = _spd_factor(m, what)
     return _sym(cho_solve(factor, np.eye(m.shape[0])))
 
@@ -232,6 +233,7 @@ def oracle_llr_density(C_u, C_n, h_i, h_j):
     both Gaussian log densities directly. Reference implementation for
     cross-checking the quadratic score; not used on any hot path.
     """
+    from scipy.linalg import cho_solve
     C_u = np.asarray(C_u, dtype=np.float64)
     C_n = np.asarray(C_n, dtype=np.float64)
     d = C_u.shape[0]
@@ -308,14 +310,16 @@ def jb_log_likelihood(model: JbModel, vectors, speakers) -> float:
 
 
 def _floor_pd(m: np.ndarray, what: str) -> np.ndarray:
+    """`m`, or `m` with a small diagonal bump, whichever is PD first. The
+    test uses numpy's LAPACK, so no scipy BLAS call precedes the EM loop."""
     try:
-        cho_factor(m, lower=True)
+        np.linalg.cholesky(m)
         return m
     except np.linalg.LinAlgError:
         pass
     bumped = m + 1e-6 * float(np.mean(np.diag(m))) * np.eye(m.shape[0])
     try:
-        cho_factor(bumped, lower=True)
+        np.linalg.cholesky(bumped)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"initial {what} cannot be floored to PD") from exc
     return bumped

@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .corpus import EmbeddingSet, SpeakerStats, float_rows, fmt_float, open_text
 from .errors import (
@@ -88,18 +87,19 @@ def fit_lda(embeddings: EmbeddingSet, d: int, pre_normalize: bool = False) -> Ld
             f"trailing directions carry no between-speaker signal",
             stacklevel=2,
         )
+    import scipy.linalg
     X = embeddings.vectors
     if pre_normalize:
         X = length_normalize(X)
-    mean = X.mean(axis=0)
-    if np.max(np.abs(X - mean)) == 0.0:
+    if not np.any(np.ptp(X, axis=0)):  # exact, and no n x d temporary
         raise DegenerateScatterError("all vectors are identical; scatter is zero")
+    mean = X.mean(axis=0)
     s_w, s_b = scatter_matrices(X, embeddings.speaker_codes())
     ridge = SCATTER_EPS * np.trace(s_w) / dim
     s_w_reg = s_w + ridge * np.eye(dim)
     try:
         eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w_reg)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    except np.linalg.LinAlgError:  # scipy.linalg.LinAlgError is this class
         raise DegenerateScatterError(
             "within-speaker scatter is singular even after regularization"
         ) from None

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import svbackend
 from svbackend import cli, corpus, hybrid, jb, transform
 
 
@@ -369,3 +373,66 @@ class TestMahalanobisVariant:
         assert run("score", "--model", net, "--embeddings", emb,
                    "--trials", trials, "--out", scores) == 0
         assert np.all(corpus.load_scores(scores).scores <= 0.0)  # negated distance
+
+
+
+SCIPY_MODULES = 'sorted(m for m in sys.modules if m.split(".")[0] == "scipy")'
+
+
+def fresh_run(code, *argv, cwd):
+    """Run `code` with `argv` in a fresh interpreter; its last stdout line as JSON."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(svbackend.__file__))}
+    out = subprocess.run([sys.executable, "-c", code, *map(str, argv)], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+class TestScipyLoading:
+    """Only fit-lda, fit-jb, init-hybrid and train call scipy, so only they
+    pay for loading it; the other commands must start without it."""
+
+    @pytest.fixture(scope="class")
+    def chain_dir(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("chain")
+        steps = [
+            ["synth", "--speakers", 20, "--utts", 4, "--dim", 4, "--seed", 2,
+             "--out", "emb.txt"],
+            ["make-trials", "--embeddings", "emb.txt", "--n", 100, "--pos-fraction", 0.5,
+             "--seed", 3, "--out", "trials.txt"],
+            ["fit-lda", "--embeddings", "emb.txt", "--dim", 3, "--out", "lda.txt"],
+            ["fit-jb", "--embeddings", "emb.txt", "--lda", "lda.txt", "--out", "jb.txt"],
+            ["init-hybrid", "--lda", "lda.txt", "--jb", "jb.txt", "--out", "net.txt"],
+            ["score", "--model", "net.txt", "--embeddings", "emb.txt",
+             "--trials", "trials.txt", "--out", "scores.txt"],
+            ["eval", "--scores", "scores.txt", "--trials", "trials.txt",
+             "--out", "report.txt"],
+        ]
+        cwd = os.getcwd()
+        os.chdir(d)
+        try:
+            for argv in steps:
+                assert run(*argv) == 0, argv[0]
+        finally:
+            os.chdir(cwd)
+        return d
+
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        code = f"import json, sys, svbackend.cli; print(json.dumps({SCIPY_MODULES}))"
+        assert fresh_run(code, cwd=tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--speakers", 20, "--utts", 4, "--dim", 4, "--seed", 2, "--out", "e2.txt"],
+        ["make-trials", "--embeddings", "emb.txt", "--n", 100, "--pos-fraction", 0.5,
+         "--seed", 3, "--out", "t2.txt"],
+        ["score", "--model", "net.txt", "--embeddings", "emb.txt", "--trials", "trials.txt",
+         "--out", "s2.txt"],
+        ["eval", "--scores", "scores.txt", "--trials", "trials.txt", "--out", "r2.txt",
+         "--det-out", "det2.csv", "--hist-out", "hist2.csv"],
+        ["ablate", "--model", "net.txt", "--embeddings", "emb.txt", "--trials", "trials.txt",
+         "--out", "a2.csv"],
+        ["replay", "report.txt.manifest.json"],
+    ], ids=lambda argv: argv[0])
+    def test_command_runs_without_scipy(self, chain_dir, argv):
+        code = ("import json, sys\nfrom svbackend.cli import main\n"
+                f"rc = main(sys.argv[1:])\nprint(json.dumps([rc, {SCIPY_MODULES}]))")
+        assert fresh_run(code, *argv, cwd=chain_dir) == [0, []]

@@ -624,6 +624,20 @@ class TestSerialization:
         np.testing.assert_array_equal(back.P, net.P)
         assert back.d0 == net.d0 and back.lam == net.lam
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_pre_normalized_round_trip(self, tmp_path, variant):
+        net = init_random(5, 3, seed=35, variant=variant)
+        net.pre_normalize = True
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        hybrid.save_model(net, first)
+        assert first.read_text().splitlines()[0].endswith(" prenorm")
+        back = hybrid.load_model(first)
+        hybrid.save_model(back, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert back.variant is variant and back.pre_normalize
+        for attr in ("mean", "W", "P_A", "P_G", "P", "alpha", "beta", "d0", "lam"):
+            np.testing.assert_array_equal(getattr(back, attr), getattr(net, attr))
+
     def test_history_csv(self, tmp_path):
         history = [(0, math.nan, 0.5), (1, 0.4, 0.45)]
         path = tmp_path / "history.csv"

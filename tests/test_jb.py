@@ -20,7 +20,7 @@ from svbackend.jb import (
     score_llr_factored,
 )
 
-from oracles import stacked_speaker_loglik
+from oracles import _grouped_floor_pd, stacked_speaker_loglik
 
 
 def random_cov_pair(rng, d, lo=0.5, hi=2.0):
@@ -284,6 +284,24 @@ class TestEmFit:
         X = embeddings.vectors - embeddings.vectors.mean(axis=0)
         model = fit_jb_em(X, embeddings.speakers)
         model.validate()
+
+
+class TestFloorPd:
+    # numpy's Cholesky decides positive definiteness as scipy's does in the
+    # oracle: kept as is, bumped once, or rejected
+    @pytest.mark.parametrize("shift", [1.0, -1e-9, -1.0])
+    def test_matches_scipy_oracle(self, shift):
+        B = np.random.default_rng(50).standard_normal((6, 3))
+        m = B @ B.T + shift * np.eye(6)
+        try:
+            want = _grouped_floor_pd(m, "test matrix")
+        except IllConditionedError:
+            with pytest.raises(IllConditionedError, match="cannot be floored"):
+                jb._floor_pd(m, "test matrix")
+            return
+        got = jb._floor_pd(m, "test matrix")
+        assert (got is m) == (want is m)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSerialization:

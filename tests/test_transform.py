@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,24 @@ class TestFitLda:
         s = EmbeddingSet(["u1", "u2"], ["a", "b"], [[1.0, 2.0], [1.0, 2.0]])
         with pytest.raises(DegenerateScatterError):
             fit_lda(s, 1)
+
+    def test_identical_vectors_with_inexact_mean_rejected(self):
+        # the mean of three 0.1 entries is 0.1 + 1.4e-17, not 0.1
+        s = EmbeddingSet(["u1", "u2", "u3"], ["a", "a", "b"], [[0.1, 0.1]] * 3)
+        with pytest.raises(DegenerateScatterError, match="identical"):
+            fit_lda(s, 1)
+
+    def test_peak_memory_below_one_and_a_half_inputs(self):
+        rng = np.random.default_rng(17)
+        embeddings = random_speaker_set(rng, n_speakers=50, utts=40, dim=64)
+        fit_lda(embeddings, 16)  # the first call also imports scipy.linalg
+        tracemalloc.start()
+        try:
+            fit_lda(embeddings, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * embeddings.vectors.nbytes
 
     def test_dim_above_speaker_count_warns(self):
         rng = np.random.default_rng(4)
