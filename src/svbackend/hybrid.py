@@ -38,10 +38,15 @@ LOG_CLAMP = 1e-12  # floor on log arguments; saturated sigmoids stay finite
 
 
 def _expit(z):
-    """Logistic sigmoid; scipy is imported here so that only the commands
-    that apply it pay for loading scipy.special."""
-    from scipy.special import expit
-    return expit(z)
+    """Logistic sigmoid 1/(1 + exp(-z)), scipy.special.expit's formula; for
+    z below about -709 exp(-z) overflows to inf and the value is exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _pair_score(g_i, g_j, a_sq_i, a_sq_j):
+    """Two-branch score 2 g_i'g_j - (|a_i|^2 + |a_j|^2), bit-symmetric in i, j."""
+    return 2.0 * np.sum(g_i * g_j, axis=1) - (a_sq_i + a_sq_j)
 
 
 class Variant(str, enum.Enum):
@@ -272,9 +277,8 @@ def forward(model: SiameseModel, x_i, x_j):
     _, ht_j, _ = _project(model, x_j)
     a_i = ht_i @ model.P_A
     a_j = ht_j @ model.P_A
-    g_i = ht_i @ model.P_G
-    g_j = ht_j @ model.P_G
-    r = 2.0 * np.sum(g_i * g_j, axis=1) - np.sum(a_i * a_i, axis=1) - np.sum(a_j * a_j, axis=1)
+    r = _pair_score(ht_i @ model.P_G, ht_j @ model.P_G,
+                    np.sum(a_i * a_i, axis=1), np.sum(a_j * a_j, axis=1))
     f = _expit(model.alpha * r + model.beta)
     if squeeze:
         return float(r[0]), float(f[0])
@@ -342,7 +346,7 @@ def _gather_scores(model: SiameseModel, ht: np.ndarray, enroll: np.ndarray,
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         e, t = enroll[lo:hi], test[lo:hi]
         if model.variant is Variant.TWO_BRANCH:
-            scores[lo:hi] = 2.0 * np.sum(g[e] * g[t], axis=1) - a_sq[e] - a_sq[t]
+            scores[lo:hi] = _pair_score(g[e], g[t], a_sq[e], a_sq[t])
         else:
             q = (ht[e] - ht[t]) @ model.P
             scores[lo:hi] = -np.sum(q * q, axis=1)
@@ -448,8 +452,7 @@ def loss_and_grad(model: SiameseModel, batch: Batch, cfg: LossConfig,
         a_j = ht_j @ model.P_A
         g_i = ht_i @ model.P_G
         g_j = ht_j @ model.P_G
-        r = (2.0 * np.sum(g_i * g_j, axis=1)
-             - np.sum(a_i * a_i, axis=1) - np.sum(a_j * a_j, axis=1))
+        r = _pair_score(g_i, g_j, np.sum(a_i * a_i, axis=1), np.sum(a_j * a_j, axis=1))
         f = _expit(model.alpha * r + model.beta)
         value = loss(f, labels, cfg)
         df = _loss_df(f, labels, cfg)

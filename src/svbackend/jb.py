@@ -41,28 +41,23 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _spd_factor(m: np.ndarray, what: str):
-    """Cholesky factor of a symmetric PD matrix, with one jitter retry."""
-    from scipy.linalg import cho_factor
-    try:
-        return cho_factor(m, lower=True)
-    except np.linalg.LinAlgError:
-        pass
-    bump = _JITTER * float(np.trace(m)) / m.shape[0]
-    try:
-        return cho_factor(m + bump * np.eye(m.shape[0]), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"{what} is not positive definite") from exc
+def _spd_factor(m: np.ndarray, what: str, jitter: bool = True):
+    """Lower Cholesky factor L of a symmetric PD matrix and its inverse, so
+    that L^-1 m L^-T = I and m^-1 = L^-T L^-1. With `jitter`, a failed
+    factorization is retried once after a small relative diagonal bump."""
+    bumps = [0.0, _JITTER * float(np.trace(m)) / m.shape[0]] if jitter else [0.0]
+    for bump in bumps:
+        try:
+            L = np.linalg.cholesky(m + bump * np.eye(m.shape[0]) if bump else m)
+        except np.linalg.LinAlgError:
+            continue
+        return L, np.linalg.inv(L)
+    raise IllConditionedError(f"{what} is not positive definite")
 
 
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    from scipy.linalg import cho_solve
-    factor = _spd_factor(m, what)
-    return _sym(cho_solve(factor, np.eye(m.shape[0])))
-
-
-def _logdet(factor) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    L_inv = _spd_factor(m, what)[1]
+    return _sym(L_inv.T @ L_inv)
 
 
 @dataclass
@@ -225,31 +220,6 @@ def score_llr_factored(P_A: np.ndarray, P_G: np.ndarray, h_i, h_j):
     return float(r[0]) if squeeze else r
 
 
-def oracle_llr_density(C_u, C_n, h_i, h_j):
-    """Log density ratio of the stacked pair under the two hypotheses.
-
-    Builds the 2d x 2d covariances explicitly (same-speaker: C_u in the
-    off-diagonal blocks; different-speaker: block diagonal) and evaluates
-    both Gaussian log densities directly. Reference implementation for
-    cross-checking the quadratic score; not used on any hot path.
-    """
-    from scipy.linalg import cho_solve
-    C_u = np.asarray(C_u, dtype=np.float64)
-    C_n = np.asarray(C_n, dtype=np.float64)
-    d = C_u.shape[0]
-    h_i, h_j, squeeze = _pair_arrays(h_i, h_j, d)
-    total = C_u + C_n
-    cov_same = np.block([[total, C_u], [C_u, total]])
-    cov_diff = np.block([[total, np.zeros_like(C_u)], [np.zeros_like(C_u), total]])
-    z = np.hstack([h_i, h_j])
-    out = np.zeros(z.shape[0])
-    for cov, sign in ((cov_same, +1.0), (cov_diff, -1.0)):
-        factor = _spd_factor(cov, "pair covariance")
-        quad = np.sum(z * cho_solve(factor, z.T).T, axis=1)
-        out += sign * (-0.5) * (2 * d * _LOG_2PI + _logdet(factor) + quad)
-    return float(out[0]) if squeeze else out
-
-
 def _count_groups(stats: SpeakerStats):
     """Distinct utterance counts m, speakers per count n_g, and factor rows R
     with each row's group: R_g'R_g sums s s' over group g's speaker sums s,
@@ -267,15 +237,11 @@ def _em_step(C_u, C_n, stats: SpeakerStats, groups, drop_posterior_cov: bool):
     In the basis V with V'C_n V = I and V'C_u V = diag(psi), the posterior
     of V'u for a speaker with m utterances and projected sum y is diagonal,
     with mean y psi/(1+m psi) and variances psi/(1+m psi); B = C_n V maps
-    back. V comes from numpy's LAPACK: after scipy's bundled BLAS runs, its
-    idle threads slow numpy's next products several-fold.
+    back. V = L^-T Q, with L the Cholesky factor of C_n and Q the
+    eigenvectors of L^-1 C_u L^-T, the whitening `fit_lda` uses too.
     """
     ms, n_g, R, row_group = groups
-    try:
-        L = np.linalg.cholesky(C_n)
-    except np.linalg.LinAlgError:
-        raise IllConditionedError("C_n is not positive definite") from None
-    L_inv = np.linalg.inv(L)
+    L, L_inv = _spd_factor(C_n, "C_n", jitter=False)
     psi, Q = np.linalg.eigh(L_inv @ C_u @ L_inv.T)
     V = L_inv.T @ Q
     t = 1.0 + np.outer(ms, psi)  # per group: 1 + m psi
@@ -310,8 +276,7 @@ def jb_log_likelihood(model: JbModel, vectors, speakers) -> float:
 
 
 def _floor_pd(m: np.ndarray, what: str) -> np.ndarray:
-    """`m`, or `m` with a small diagonal bump, whichever is PD first. The
-    test uses numpy's LAPACK, so no scipy BLAS call precedes the EM loop."""
+    """`m`, or `m` with a small diagonal bump, whichever is PD first."""
     try:
         np.linalg.cholesky(m)
         return m

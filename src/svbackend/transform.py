@@ -15,11 +15,13 @@ import numpy as np
 from .corpus import EmbeddingSet, SpeakerStats, float_rows, fmt_float, open_text
 from .errors import (
     DegenerateScatterError,
+    IllConditionedError,
     InsufficientClassesError,
     ParseError,
     ShapeError,
     ZeroVectorError,
 )
+from .jb import _spd_factor
 
 SCATTER_EPS = 1e-6  # relative ridge on the within-class scatter diagonal
 
@@ -68,7 +70,8 @@ def fit_lda(embeddings: EmbeddingSet, d: int, pre_normalize: bool = False) -> Ld
     """Fit the projection on a labeled embedding set.
 
     Columns of W solve the generalized eigenproblem S_b w = lambda S_w w,
-    sorted by decreasing eigenvalue (stable, index tie-break) with the
+    through the Cholesky factor L of S_w (eigenvectors q of L^-1 S_b L^-T,
+    w = L^-T q), sorted by decreasing eigenvalue (stable, index tie-break) with the
     largest-magnitude component of each column made positive, so the fit
     is deterministic. S_w gets a small relative diagonal ridge so the
     problem stays solvable on rank-deficient scatter.
@@ -87,7 +90,6 @@ def fit_lda(embeddings: EmbeddingSet, d: int, pre_normalize: bool = False) -> Ld
             f"trailing directions carry no between-speaker signal",
             stacklevel=2,
         )
-    import scipy.linalg
     X = embeddings.vectors
     if pre_normalize:
         X = length_normalize(X)
@@ -96,16 +98,16 @@ def fit_lda(embeddings: EmbeddingSet, d: int, pre_normalize: bool = False) -> Ld
     mean = X.mean(axis=0)
     s_w, s_b = scatter_matrices(X, embeddings.speaker_codes())
     ridge = SCATTER_EPS * np.trace(s_w) / dim
-    s_w_reg = s_w + ridge * np.eye(dim)
     try:
-        eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w_reg)
-    except np.linalg.LinAlgError:  # scipy.linalg.LinAlgError is this class
+        _, L_inv = _spd_factor(s_w + ridge * np.eye(dim), "S_w", jitter=False)
+    except IllConditionedError:
         raise DegenerateScatterError(
             "within-speaker scatter is singular even after regularization"
         ) from None
+    eigvals, eigvecs = np.linalg.eigh(L_inv @ s_b @ L_inv.T)
     order = np.argsort(-eigvals, kind="stable")[:d]
     vals = eigvals[order]
-    W = eigvecs[:, order]
+    W = L_inv.T @ eigvecs[:, order]
     W = W / np.linalg.norm(W, axis=0)  # unit-norm columns (direction convention)
     for col in range(W.shape[1]):
         lead = np.argmax(np.abs(W[:, col]))

@@ -30,6 +30,43 @@ def stacked_speaker_loglik(c_u, c_n, utterances):
     return mvn_logpdf(utterances.ravel(), cov)
 
 
+def oracle_llr_density(C_u, C_n, h_i, h_j):
+    """Log density ratio of the stacked pair under the two hypotheses.
+
+    Builds the 2d x 2d covariances explicitly (same-speaker: C_u in the
+    off-diagonal blocks; different-speaker: block diagonal) and evaluates
+    both Gaussian log densities directly. Accepts single vectors or aligned
+    (N, d) batches.
+    """
+    C_u = np.asarray(C_u, dtype=np.float64)
+    C_n = np.asarray(C_n, dtype=np.float64)
+    d = C_u.shape[0]
+    squeeze = np.ndim(h_i) == 1 and np.ndim(h_j) == 1
+    z = np.hstack([np.atleast_2d(np.asarray(h_i, dtype=np.float64)),
+                   np.atleast_2d(np.asarray(h_j, dtype=np.float64))])
+    assert z.shape[1] == 2 * d, "pair shapes do not match the covariances"
+    total = C_u + C_n
+    cov_same = np.block([[total, C_u], [C_u, total]])
+    cov_diff = np.block([[total, np.zeros_like(C_u)], [np.zeros_like(C_u), total]])
+    out = np.zeros(z.shape[0])
+    for cov, sign in ((cov_same, +1.0), (cov_diff, -1.0)):
+        factor = _spd_factor(cov, "pair covariance")
+        quad = np.sum(z * cho_solve(factor, z.T).T, axis=1)
+        out += sign * (-0.5) * (2 * d * np.log(2.0 * np.pi) + _logdet(factor) + quad)
+    return float(out[0]) if squeeze else out
+
+
+def derive_ag(C_u, C_n):
+    """A and G from the covariances through scipy Cholesky solves."""
+    total = C_u + C_n
+    total_inv = _spd_inverse(total, "C_u + C_n")
+    inner = total - C_u @ total_inv @ C_u
+    A = _sym(total_inv - _spd_inverse(inner, "same-speaker Schur complement"))
+    cn_inv = _spd_inverse(C_n, "C_n")
+    G = _sym(-_spd_inverse(2.0 * C_u + C_n, "2 C_u + C_n") @ C_u @ cn_inv)
+    return A, G
+
+
 def brute_force_eer(scores, labels):
     """EER by explicit counting at every midpoint threshold plus +-inf.
 
@@ -175,7 +212,9 @@ def loader_outcome(reader, path):
 #
 # These are the scatter loop and the count-group EM the package used before
 # it fitted from one shared statistics object in the diagonalizing basis.
-# They keep their own copies of the Cholesky helpers.
+# They keep their own copies of the Cholesky helpers, in scipy, as the
+# package used them before it ran on numpy alone; `oracle_llr_density` and
+# `derive_ag` above use them too.
 
 
 def _sym(m):

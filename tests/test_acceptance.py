@@ -19,6 +19,7 @@ from oracles import (
     brute_force_eer,
     brute_force_min_dcf,
     finite_diff_gradients,
+    oracle_llr_density,
     relative_error,
 )
 
@@ -85,7 +86,7 @@ def matched_experiment():
     train_emb, eval_emb = speaker_holdout_split(embeddings, 200)
     trials = synth.sample_trials(eval_emb, 10000, 0.5, seed=3000)
     enroll, test = trials.index_arrays(eval_emb)
-    oracle_scores = jb.oracle_llr_density(
+    oracle_scores = oracle_llr_density(
         c_u, c_n, eval_emb.vectors[enroll], eval_emb.vectors[test]
     )
     lda, model = fit_backend(train_emb, 32)
@@ -166,8 +167,8 @@ def test_criterion_01_llr_correctness():
             model = synth.ground_truth_model(c_u, c_n)
             h_i, h_j = rng.standard_normal(d), rng.standard_normal(d)
             r = jb.score_llr(model, h_i, h_j)
-            ratio = jb.oracle_llr_density(c_u, c_n, h_i, h_j)
-            at_zero = jb.oracle_llr_density(c_u, c_n, np.zeros(d), np.zeros(d))
+            ratio = oracle_llr_density(c_u, c_n, h_i, h_j)
+            at_zero = oracle_llr_density(c_u, c_n, np.zeros(d), np.zeros(d))
             worst_oracle = max(worst_oracle, abs(r - 2.0 * (ratio - at_zero)))
             r_f = jb.score_llr_factored(model.P_A, model.P_G, h_i, h_j)
             worst_factored = max(worst_factored, abs(r - r_f))
@@ -184,7 +185,7 @@ def test_criterion_02_scalar_closed_form():
     A, G = jb.derive_ag(one, one)
     model = synth.ground_truth_model(one, one)
     r = jb.score_llr(model, np.array([1.0]), np.array([1.0]))
-    ratio = jb.oracle_llr_density(one, one, np.array([1.0]), np.array([1.0]))
+    ratio = oracle_llr_density(one, one, np.array([1.0]), np.array([1.0]))
     expected_ratio = 0.5 * math.log(4.0 / 3.0) + 1.0 / 6.0
     checks = (
         abs(A[0, 0] + 1.0 / 6.0) < 1e-10,

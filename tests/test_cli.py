@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,9 +389,24 @@ def fresh_run(code, *argv, cwd):
     return json.loads(out.splitlines()[-1])
 
 
+def test_no_module_imports_scipy():
+    # scipy is a test-only dependency: no import of it anywhere in the
+    # package, at module level or inside a function
+    root = Path(svbackend.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), \
+                f"{path.name}:{node.lineno} imports scipy"
+
+
 class TestScipyLoading:
-    """Only fit-lda, fit-jb, init-hybrid and train call scipy, so only they
-    pay for loading it; the other commands must start without it."""
+    """The package runs on numpy alone: no command loads scipy."""
 
     @pytest.fixture(scope="class")
     def chain_dir(self, tmp_path_factory):
@@ -431,7 +448,14 @@ class TestScipyLoading:
         ["ablate", "--model", "net.txt", "--embeddings", "emb.txt", "--trials", "trials.txt",
          "--out", "a2.csv"],
         ["replay", "report.txt.manifest.json"],
-    ], ids=lambda argv: argv[0])
+        ["synth", "--speakers", 20, "--utts", 4, "--dim", 4, "--seed", 2, "--out", "e3.txt",
+         "--truth-out", "truth3.txt"],
+        ["fit-lda", "--embeddings", "emb.txt", "--dim", 3, "--out", "l2.txt"],
+        ["fit-jb", "--embeddings", "emb.txt", "--lda", "lda.txt", "--out", "j2.txt"],
+        ["init-hybrid", "--lda", "lda.txt", "--jb", "jb.txt", "--out", "n2.txt"],
+        ["train", "--model", "net.txt", "--embeddings", "emb.txt", "--batch-size", 32,
+         "--epochs", 2, "--seed", 1, "--out", "tr2.txt"],
+    ], ids=lambda argv: argv[0] + ("-truth-out" if "--truth-out" in argv else ""))
     def test_command_runs_without_scipy(self, chain_dir, argv):
         code = ("import json, sys\nfrom svbackend.cli import main\n"
                 f"rc = main(sys.argv[1:])\nprint(json.dumps([rc, {SCIPY_MODULES}]))")

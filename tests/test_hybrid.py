@@ -199,8 +199,42 @@ def pairwise_scores(net, embeddings, enroll, test):
     return np.atleast_1d(hybrid.batch_scores(net, batch)[0])
 
 
+class TestExpit:
+    def test_within_four_ulp_of_scipy(self):
+        from scipy.special import expit
+        z = np.concatenate([np.linspace(-1000.0, 1000.0, 400_001),
+                            np.linspace(-40.0, 40.0, 400_001)])
+        got, want = hybrid._expit(z), expit(z)
+        # both lie in [0, 1], where the int64 view of a double is monotone
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+
+    def test_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = hybrid._expit(np.array([-1000.0, 1000.0]))
+        assert f.tolist() == [0.0, 1.0]
+
+
 class TestScoreTrials:
     """Per-utterance projection with gathered pair scores."""
+
+    @pytest.mark.parametrize("setting", ["mahalanobis", "full"] + [m.value for m in RestrictMode])
+    def test_swapping_enroll_and_test_keeps_every_bit(self, setting):
+        rng = np.random.default_rng(46)
+        variant = Variant.MAHALANOBIS if setting == "mahalanobis" else Variant.TWO_BRANCH
+        net, emb, trials, enroll, test = scoring_case(rng, 300, 16, 8, 5000, variant)
+        if setting in {m.value for m in RestrictMode}:
+            net = restrict(net, RestrictMode(setting))
+        swapped = corpus.TrialList([corpus.Trial(t.test_id, t.enroll_id) for t in trials.trials])
+        scores = hybrid.score_trials(net, emb, trials).scores
+        assert np.array_equal(scores, hybrid.score_trials(net, emb, swapped).scores)
+        xi, xj = emb.vectors[enroll], emb.vectors[test]
+        labels = (np.arange(enroll.size) % 2).astype(np.int8)
+        assert np.array_equal(pairwise_scores(net, emb, enroll, test),
+                              pairwise_scores(net, emb, test, enroll))
+        cfg = LossConfig(kind="bce")
+        assert (loss_and_grad(net, Batch(xi, xj, labels), cfg)[0]
+                == loss_and_grad(net, Batch(xj, xi, labels), cfg)[0])
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_same_bits_as_pairwise_path_at_scale(self, variant):

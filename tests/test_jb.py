@@ -15,12 +15,12 @@ from svbackend.jb import (
     factorize_nsd,
     fit_jb_em,
     jb_log_likelihood,
-    oracle_llr_density,
     score_llr,
     score_llr_factored,
 )
 
-from oracles import _grouped_floor_pd, stacked_speaker_loglik
+import oracles
+from oracles import _grouped_floor_pd, oracle_llr_density, stacked_speaker_loglik
 
 
 def random_cov_pair(rng, d, lo=0.5, hi=2.0):
@@ -284,6 +284,47 @@ class TestEmFit:
         X = embeddings.vectors - embeddings.vectors.mean(axis=0)
         model = fit_jb_em(X, embeddings.speakers)
         model.validate()
+
+
+def max_rel_diff(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestCholeskyAgainstScipy:
+    """numpy's Cholesky path against the scipy `cho_factor`/`cho_solve` oracles."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 64])
+    def test_spd_inverse(self, d):
+        c_u, c_n = random_cov_pair(np.random.default_rng(60 + d), d)
+        for m in (c_u + c_n, c_n, 2.0 * c_u + c_n):
+            want = oracles._spd_inverse(m, "m")
+            assert max_rel_diff(jb._spd_inverse(m, "m"), want) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 64])
+    def test_derive_ag(self, d):
+        c_u, c_n = random_cov_pair(np.random.default_rng(70 + d), d)
+        for got, want in zip(derive_ag(c_u, c_n), oracles.derive_ag(c_u, c_n)):
+            assert max_rel_diff(got, want) <= 1e-12
+
+    def test_jitter_retry_factors_a_singular_psd_matrix(self):
+        m = np.diag([2.0, 1.0, 0.0])
+        L, L_inv = jb._spd_factor(m, "m")
+        want = oracles._spd_factor(m, "m")[0]
+        np.testing.assert_array_equal(np.diag(L), np.diag(want))
+        np.testing.assert_allclose(L @ L_inv, np.eye(3), atol=1e-12)
+        with pytest.raises(IllConditionedError, match="m is not positive definite"):
+            jb._spd_factor(m, "m", jitter=False)
+
+    def test_indefinite_matrix_rejected(self):
+        m = np.diag([1.0, -1e-3, 1.0])
+        with pytest.raises(IllConditionedError):
+            oracles._spd_factor(m, "m")
+        with pytest.raises(IllConditionedError, match="m is not positive definite"):
+            jb._spd_factor(m, "m")
+        with pytest.raises(IllConditionedError) as want:
+            oracles.derive_ag(np.eye(3), m)
+        with pytest.raises(IllConditionedError, match=str(want.value)):
+            derive_ag(np.eye(3), m)
 
 
 class TestFloorPd:

@@ -4,6 +4,8 @@ import pytest
 from svbackend import corpus, jb, metrics, synth
 from svbackend.errors import ConfigError, InsufficientClassesError
 
+from oracles import oracle_llr_density
+
 
 class TestCovarianceRecipes:
     def test_isotropic_identity(self):
@@ -173,7 +175,7 @@ class TestOracleOptimality:
         embeddings, (c_u, c_n) = synth.generate(cfg)
         trials = synth.sample_trials(embeddings, 8000, 0.5, seed=12)
         enroll, test = trials.index_arrays(embeddings)
-        oracle_scores = jb.oracle_llr_density(
+        oracle_scores = oracle_llr_density(
             c_u, c_n, embeddings.vectors[enroll], embeddings.vectors[test]
         )
         oracle_eer = metrics.compute_eer(corpus.ScoreSet(trials, oracle_scores))[0]

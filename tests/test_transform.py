@@ -101,7 +101,7 @@ class TestFitLda:
     def test_peak_memory_below_one_and_a_half_inputs(self):
         rng = np.random.default_rng(17)
         embeddings = random_speaker_set(rng, n_speakers=50, utts=40, dim=64)
-        fit_lda(embeddings, 16)  # the first call also imports scipy.linalg
+        fit_lda(embeddings, 16)  # warm-up: numpy allocates its caches once
         tracemalloc.start()
         try:
             fit_lda(embeddings, 16)
@@ -109,6 +109,32 @@ class TestFitLda:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * embeddings.vectors.nbytes
+
+    def test_singular_within_scatter_rejected(self):
+        # each speaker's vectors coincide: S_w and its relative ridge are zero
+        s = EmbeddingSet(["u1", "u2", "u3", "u4"], ["a", "a", "b", "b"],
+                         [[1.0, 2.0], [1.0, 2.0], [3.0, 5.0], [3.0, 5.0]])
+        with pytest.raises(DegenerateScatterError, match="singular"):
+            fit_lda(s, 1)
+
+    @pytest.mark.parametrize("n_speakers,dim,d,pre_normalize", [
+        (2, 2, 1, False), (6, 4, 3, False), (30, 16, 10, False), (30, 16, 16, True),
+        (80, 64, 40, False),
+    ])
+    def test_matches_scipy_generalized_eigh(self, n_speakers, dim, d, pre_normalize):
+        import scipy.linalg
+        rng = np.random.default_rng(dim + d)
+        embeddings = random_speaker_set(rng, n_speakers=n_speakers, utts=10, dim=dim)
+        got = fit_lda(embeddings, d, pre_normalize=pre_normalize)
+        X = length_normalize(embeddings.vectors) if pre_normalize else embeddings.vectors
+        s_w, s_b = transform.scatter_matrices(X, embeddings.speakers)
+        ridge = transform.SCATTER_EPS * np.trace(s_w) / dim
+        vals, vecs = scipy.linalg.eigh(s_b, s_w + ridge * np.eye(dim))
+        order = np.argsort(-vals, kind="stable")[:d]
+        W = vecs[:, order] / np.linalg.norm(vecs[:, order], axis=0)
+        W *= np.where(W[np.argmax(np.abs(W), axis=0), np.arange(d)] < 0, -1.0, 1.0)
+        assert np.max(np.abs(got.W - W)) <= 1e-12
+        assert np.max(np.abs(got.eigenvalues - vals[order])) <= 1e-12 * np.max(np.abs(vals))
 
     def test_dim_above_speaker_count_warns(self):
         rng = np.random.default_rng(4)
